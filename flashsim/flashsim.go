@@ -315,6 +315,13 @@ type Config struct {
 
 	// Seed drives simulator randomness (filer prefetch outcomes).
 	Seed uint64
+
+	// checkResidency makes a run verify, at its end and after every
+	// scenario event, that each consistency holder index (the registry's
+	// or every cluster shard's) lists exactly the blocks its hosts cache,
+	// failing the run on divergence. Tests set it; it never changes
+	// results.
+	checkResidency bool
 }
 
 // ScalePolicy shrinks a periodic policy's period by the scale factor.
@@ -574,6 +581,27 @@ type simulation struct {
 	drv   *core.Driver
 }
 
+// checkResidency audits the registry's holder index; runs without a
+// registry keep no index.
+func (s *simulation) checkResidency() error {
+	if s.reg == nil {
+		return nil
+	}
+	return s.reg.CheckResidency()
+}
+
+// verifyResidency runs the holder-index audit check when cfg asks for it;
+// at names the point of the run for the error.
+func verifyResidency(cfg Config, at string, check func() error) error {
+	if !cfg.checkResidency {
+		return nil
+	}
+	if err := check(); err != nil {
+		return fmt.Errorf("flashsim: residency index diverged %s: %w", at, err)
+	}
+	return nil
+}
+
 // hostConfig maps the public Config onto one host's core configuration.
 // Every executor (sequential, sharded steady-state, sharded scenario)
 // builds its hosts through this single mapping, so a new Config knob
@@ -684,6 +712,9 @@ func runTrace(cfg Config, src trace.Source, warmupBlocks int64, pre prestartFn) 
 		recoverySeconds = s.eng.Now().Seconds()
 	}
 	s.drv.Run()
+	if err := verifyResidency(cfg, "at end of run", s.checkResidency); err != nil {
+		return nil, err
+	}
 
 	res := buildResult(cfg, s.eng, s.fsrv, s.reg, s.hosts, s.drv)
 	res.RecoverySeconds = recoverySeconds

@@ -368,6 +368,9 @@ func RunScenario(cfg Config, sc *Scenario) (*ScenarioResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("flashsim: scenario %s phase %s: %w", sc.Name, ph.Name, err)
 			}
+			if err := verifyResidency(cfg, "after "+string(ev.Kind), s.checkResidency); err != nil {
+				return nil, err
+			}
 			res.Events = append(res.Events, er)
 		}
 		start := s.eng.Now()
@@ -389,6 +392,9 @@ func RunScenario(cfg Config, sc *Scenario) (*ScenarioResult, error) {
 	}
 	s.eng.Run()
 	sampler.Sample()
+	if err := verifyResidency(cfg, "at end of run", s.checkResidency); err != nil {
+		return nil, err
+	}
 
 	res.Telemetry = ts
 	res.BlocksIssued = s.drv.BlocksIssued()

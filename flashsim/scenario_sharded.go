@@ -149,6 +149,9 @@ func runScenarioSharded(cfg Config, sc *Scenario, period sim.Time, hooks Scenari
 			if err != nil {
 				return nil, fmt.Errorf("flashsim: scenario %s phase %s: %w", sc.Name, ph.Name, err)
 			}
+			if err := verifyResidency(cfg, "after "+string(ev.Kind), cl.CheckResidency); err != nil {
+				return nil, err
+			}
 			res.Events = append(res.Events, er)
 			if r.hooks.Event != nil {
 				r.hooks.Event(er)
@@ -181,6 +184,9 @@ func runScenarioSharded(cfg Config, sc *Scenario, period sim.Time, hooks Scenari
 	cl.StopSyncers()
 	cl.Advance(0)
 	r.sample(cl.Now())
+	if err := verifyResidency(cfg, "at end of run", cl.CheckResidency); err != nil {
+		return nil, err
+	}
 
 	res.Telemetry = r.ts
 	res.BlocksIssued = r.blocksIssued()

@@ -128,6 +128,9 @@ func runSharded(cfg Config, src trace.Source, warmupBlocks int64, pre prestartFn
 	}
 	cl.StartDrivers()
 	cl.RunToCompletion()
+	if err := verifyResidency(cfg, "at end of run", cl.CheckResidency); err != nil {
+		return nil, err
+	}
 	res := buildShardedResult(cfg, cl)
 	res.RecoverySeconds = recoverySeconds
 	if tr != nil {

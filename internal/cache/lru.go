@@ -197,8 +197,8 @@ type LRU struct {
 
 	// resHook, when set, observes every residency transition: called with
 	// (key, true) as Insert indexes the block and (key, false) as Remove
-	// drops it. Sharded runs use it to maintain a block→holders index so
-	// barrier invalidation only visits hosts that actually hold a copy.
+	// drops it. Multi-host runs use it to maintain a block→holders index
+	// so invalidation only visits hosts that actually hold a copy.
 	resHook func(Key, bool)
 
 	// Statistics.

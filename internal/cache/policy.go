@@ -34,7 +34,7 @@ type BlockCache interface {
 
 	// SetResidencyHook registers an observer of residency transitions:
 	// fn(key, true) as the block is inserted, fn(key, false) as it is
-	// removed. Sharded runs use it to index which hosts hold a block.
+	// removed. Multi-host runs use it to index which hosts hold a block.
 	SetResidencyHook(fn func(Key, bool))
 }
 

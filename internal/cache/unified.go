@@ -52,6 +52,14 @@ func (u *Unified) DirtyLen() int { return u.dirties.len }
 // ResidentRAM returns how many resident blocks live in RAM buffers.
 func (u *Unified) ResidentRAM() int { return u.residentRAM }
 
+// Keys appends all resident keys, MRU first, to dst and returns it.
+func (u *Unified) Keys(dst []Key) []Key {
+	for e := u.lru.front(); e != nil && e != &u.lru.sentinel; e = e.next {
+		dst = append(dst, e.key)
+	}
+	return dst
+}
+
 // SetResidencyHook mirrors BlockCache.SetResidencyHook.
 func (u *Unified) SetResidencyHook(fn func(Key, bool)) { u.resHook = fn }
 

@@ -16,11 +16,16 @@ type CacheHolder interface {
 	Invalidate(key uint64) bool
 	// Holds reports whether the holder currently caches the block.
 	Holds(key uint64) bool
+	// AppendResident appends every block the holder caches to dst.
+	AppendResident(dst []uint64) []uint64
 }
 
 // Registry tracks all host caches and counts invalidation traffic.
 type Registry struct {
 	holders []CacheHolder
+	index   HolderIndex    // block -> holders, bit i is holders[i]
+	peers   []ProtocolPeer // by host ID
+	scratch []int32        // holder snapshot reused by BlockWritten
 
 	collect bool // gated by the driver's warmup logic
 	mode    Mode
@@ -39,22 +44,38 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Register adds a host cache stack.
-func (r *Registry) Register(h CacheHolder) {
+// Register adds a host cache stack and returns the callback through which
+// it must report every any-tier residency transition (see
+// HolderIndex.Add). Register every host before any reports residency.
+func (r *Registry) Register(h CacheHolder) func(key uint64, held bool) {
 	r.holders = append(r.holders, h)
+	if p, ok := h.(ProtocolPeer); ok && h.HostID() >= 0 {
+		for len(r.peers) <= h.HostID() {
+			r.peers = append(r.peers, nil)
+		}
+		r.peers[h.HostID()] = p
+	}
+	return r.index.Add()
 }
+
+// CheckResidency verifies that the registry's holder index lists exactly
+// the blocks each registered host caches.
+func (r *Registry) CheckResidency() error { return r.index.Check(r.holders) }
 
 // SetCollect enables or disables statistics collection (warmup gating).
 func (r *Registry) SetCollect(on bool) { r.collect = on }
 
 // BlockWritten must be called when writerHost commits a new version of key
-// into its cache. All other hosts' copies are dropped instantly.
+// into its cache. All other hosts' copies are dropped instantly, visiting
+// only the hosts the index lists, in registration order.
 func (r *Registry) BlockWritten(writerHost int, key uint64) {
 	if r.collect {
 		r.blocksWritten++
 	}
 	dropped := false
-	for _, h := range r.holders {
+	r.scratch = r.index.AppendHolders(r.scratch[:0], key)
+	for _, i := range r.scratch {
+		h := r.holders[i]
 		if h.HostID() == writerHost {
 			continue
 		}

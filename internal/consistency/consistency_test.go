@@ -2,10 +2,13 @@ package consistency
 
 import "testing"
 
-// fakeHolder is a map-backed cache for registry tests.
+// fakeHolder is a map-backed cache for registry tests. Like a real host
+// it reports every residency transition through the callback Register
+// returned.
 type fakeHolder struct {
 	id     int
 	blocks map[uint64]bool
+	report func(key uint64, held bool)
 }
 
 func newFakeHolder(id int) *fakeHolder {
@@ -17,6 +20,7 @@ func (f *fakeHolder) HostID() int { return f.id }
 func (f *fakeHolder) Invalidate(key uint64) bool {
 	if f.blocks[key] {
 		delete(f.blocks, key)
+		f.report(key, false)
 		return true
 	}
 	return false
@@ -24,19 +28,32 @@ func (f *fakeHolder) Invalidate(key uint64) bool {
 
 func (f *fakeHolder) Holds(key uint64) bool { return f.blocks[key] }
 
+func (f *fakeHolder) AppendResident(dst []uint64) []uint64 {
+	for k := range f.blocks {
+		dst = append(dst, k)
+	}
+	return dst
+}
+
+// put caches key and reports it.
+func (f *fakeHolder) put(key uint64) {
+	f.blocks[key] = true
+	f.report(key, true)
+}
+
 func TestRegistryInvalidation(t *testing.T) {
 	r := NewRegistry()
 	a := newFakeHolder(0)
 	b := newFakeHolder(1)
 	c := newFakeHolder(2)
-	r.Register(a)
-	r.Register(b)
-	r.Register(c)
+	a.report = r.Register(a)
+	b.report = r.Register(b)
+	c.report = r.Register(c)
 	r.SetCollect(true)
 
-	b.blocks[42] = true
-	c.blocks[42] = true
-	a.blocks[42] = true
+	b.put(42)
+	c.put(42)
+	a.put(42)
 
 	r.BlockWritten(0, 42)
 	if a.blocks[42] != true {
@@ -58,8 +75,8 @@ func TestRegistryNoRemoteCopies(t *testing.T) {
 	r := NewRegistry()
 	a := newFakeHolder(0)
 	b := newFakeHolder(1)
-	r.Register(a)
-	r.Register(b)
+	a.report = r.Register(a)
+	b.report = r.Register(b)
 	r.SetCollect(true)
 	r.BlockWritten(0, 7)
 	if r.WritesInvalidating() != 0 || r.Invalidations() != 0 {
@@ -77,9 +94,9 @@ func TestRegistryCollectGating(t *testing.T) {
 	r := NewRegistry()
 	a := newFakeHolder(0)
 	b := newFakeHolder(1)
-	r.Register(a)
-	r.Register(b)
-	b.blocks[1] = true
+	a.report = r.Register(a)
+	b.report = r.Register(b)
+	b.put(1)
 	r.BlockWritten(0, 1) // not collecting: copy dropped, nothing counted
 	if b.blocks[1] {
 		t.Fatal("invalidation must happen even during warmup")
@@ -95,9 +112,9 @@ func TestRegistryCollectGating(t *testing.T) {
 func TestRegistrySingleHost(t *testing.T) {
 	r := NewRegistry()
 	a := newFakeHolder(0)
-	r.Register(a)
+	a.report = r.Register(a)
 	r.SetCollect(true)
-	a.blocks[1] = true
+	a.put(1)
 	r.BlockWritten(0, 1)
 	if r.WritesInvalidating() != 0 {
 		t.Fatal("single host invalidated itself")
@@ -141,11 +158,11 @@ func TestProtocolAcquireWriteOwnership(t *testing.T) {
 	}
 	a := newFakePeer(0)
 	b := newFakePeer(1)
-	r.Register(a)
-	r.Register(b)
+	a.report = r.Register(a)
+	b.report = r.Register(b)
 	r.SetCollect(true)
 
-	b.blocks[9] = true
+	b.put(9)
 	done := false
 	r.AcquireWrite(0, 9, func() { done = true })
 	if !done {
@@ -179,13 +196,13 @@ func TestProtocolAcquireReadDowngrade(t *testing.T) {
 	r.SetMode(ModeCallback)
 	a := newFakePeer(0)
 	b := newFakePeer(1)
-	r.Register(a)
-	r.Register(b)
+	a.report = r.Register(a)
+	b.report = r.Register(b)
 	r.SetCollect(true)
 
 	// Host 0 takes ownership and dirties the block.
 	r.AcquireWrite(0, 5, func() {})
-	a.blocks[5] = true
+	a.put(5)
 	a.dirty[5] = true
 
 	// Host 1 reads: owner must flush and downgrade.
@@ -212,10 +229,10 @@ func TestProtocolInstantModeFree(t *testing.T) {
 	r := NewRegistry()
 	a := newFakePeer(0)
 	b := newFakePeer(1)
-	r.Register(a)
-	r.Register(b)
+	a.report = r.Register(a)
+	b.report = r.Register(b)
 	r.SetCollect(true)
-	b.blocks[3] = true
+	b.put(3)
 	done := false
 	r.AcquireWrite(0, 3, func() { done = true })
 	if !done {

@@ -166,31 +166,25 @@ func (r *Registry) AcquireRead(host int, key uint64, cont func()) {
 
 // peer returns the ProtocolPeer for a host ID, or nil.
 func (r *Registry) peer(host int) ProtocolPeer {
-	for _, h := range r.holders {
-		if h.HostID() == host {
-			p, ok := h.(ProtocolPeer)
-			if !ok {
-				return nil
-			}
-			return p
-		}
+	if host < 0 || host >= len(r.peers) {
+		return nil
 	}
-	return nil
+	return r.peers[host]
 }
 
 // holdersOf returns the protocol peers (other than writer) currently
-// holding a copy of key.
+// holding a copy of key, in registration order.
 func (r *Registry) holdersOf(writer int, key uint64) []ProtocolPeer {
 	var out []ProtocolPeer
-	for _, h := range r.holders {
+	r.scratch = r.index.AppendHolders(r.scratch[:0], key)
+	for _, i := range r.scratch {
+		h := r.holders[i]
 		if h.HostID() == writer {
 			continue
 		}
-		p, ok := h.(ProtocolPeer)
-		if !ok || !p.Holds(key) {
-			continue
+		if p, ok := h.(ProtocolPeer); ok {
+			out = append(out, p)
 		}
-		out = append(out, p)
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/consistency"
 	"repro/internal/filer"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -152,12 +153,13 @@ type clusterShard struct {
 	outProto  []protoMsg
 
 	// Barrier-deferred invalidation delivery (worker side). res indexes
-	// block residency so a batch message visits only actual holders; it
-	// is nil under the callback protocol (which never uses the batch) and
-	// in untracked runs.
-	res           *residencyIndex
-	invDrops      []bool // per message of the current batch: a local copy dropped
-	invalidations uint64 // local copies dropped while collecting
+	// which shard-local hosts hold each block (bit i is hosts[i]), so a
+	// batch message and a protocol callback visit only actual holders; it
+	// stays empty in untracked runs, which never produce a batch.
+	res           consistency.HolderIndex
+	resScratch    []int32 // holder snapshot reused by applyInvalidations
+	invDrops      []bool  // per message of the current batch: a local copy dropped
+	invalidations uint64  // local copies dropped while collecting
 
 	// upInFlight counts this shard's request packets currently crossing
 	// the wire toward the filer (incremented at Send2(ToFiler), decremented
@@ -290,37 +292,17 @@ func (sh *clusterShard) sealOutbox() {
 }
 
 // applyInvalidations drops local copies named by the sorted batch, before
-// any of the epoch's events run. With the residency index the per-message
-// work is proportional to the hosts actually holding the block; the
-// fallback probes every host in the shard. Both visit hosts in ascending
-// local (= global, within a shard) ID order, so the two paths make
-// identical Invalidate calls.
+// any of the epoch's events run. The residency index makes the per-message
+// work proportional to the hosts actually holding the block, visited in
+// ascending local (= global, within a shard) ID order.
 func (sh *clusterShard) applyInvalidations(batch []invMsg) {
 	for i := range batch {
 		m := &batch[i]
-		if sh.res != nil {
-			s := sh.res.sets[m.key]
-			if s == nil {
-				continue
-			}
-			// Snapshot the holders first: Invalidate fires the residency
-			// hooks, which mutate the set being read.
-			sh.res.scratch = s.appendLocals(sh.res.scratch[:0])
-			for _, li := range sh.res.scratch {
-				h := sh.hosts[li]
-				if h.ID() == int(m.writer) {
-					continue
-				}
-				if h.Invalidate(m.key) {
-					sh.invDrops[i] = true
-					if m.collect {
-						sh.invalidations++
-					}
-				}
-			}
-			continue
-		}
-		for _, h := range sh.hosts {
+		// Snapshot the holders first: Invalidate fires the residency
+		// hooks, which mutate the set being read.
+		sh.resScratch = sh.res.AppendHolders(sh.resScratch[:0], m.key)
+		for _, li := range sh.resScratch {
+			h := sh.hosts[li]
 			if h.ID() == int(m.writer) {
 				continue
 			}
@@ -556,10 +538,11 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 			h.SetConsistencyPort(p)
 		} else if c.track {
 			h.SetInvalidationSink(&clusterSink{sh: sh, host: int32(i)})
-			if sh.res == nil {
-				sh.res = newResidencyIndex()
-			}
-			sh.res.addHost(h, i/shards)
+		}
+		if c.proto != nil || c.track {
+			// Hosts join their shard in ascending ID order, so local
+			// index i/shards is the host's bit in the shard's index.
+			h.setResidencyHook(sh.res.Add())
 		}
 		drv, err := NewDriver(sh.eng, []*Host{h}, nil, spec.Sources[i], spec.Warmup[i])
 		if err != nil {
@@ -608,6 +591,26 @@ func (c *Cluster) Consistency() ClusterConsistency {
 		}
 	}
 	return cons
+}
+
+// CheckResidency verifies that every shard's holder index lists exactly
+// the blocks its hosts cache. Call it only between epochs or after the
+// run; runs that neither track invalidations nor run the protocol keep no
+// index and pass trivially.
+func (c *Cluster) CheckResidency() error {
+	if !c.track && c.proto == nil {
+		return nil
+	}
+	for s, sh := range c.shards {
+		holders := make([]consistency.CacheHolder, len(sh.hosts))
+		for i, h := range sh.hosts {
+			holders[i] = h
+		}
+		if err := sh.res.Check(holders); err != nil {
+			return fmt.Errorf("core: shard %d: %w", s, err)
+		}
+	}
+	return nil
 }
 
 // Epochs returns the number of barrier intervals executed.

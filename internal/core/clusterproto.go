@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/sim"
+import (
+	"slices"
+
+	"repro/internal/sim"
+)
 
 // This file implements the callback consistency protocol on the sharded
 // cluster: the same AFS/Sprite-style ownership protocol as
@@ -176,7 +180,7 @@ type protoCoordinator struct {
 	writesInvalidating uint64
 	invalidations      uint64
 
-	holderScratch []*Host
+	holderScratch []int32
 }
 
 func newProtoCoordinator(c *Cluster) *protoCoordinator {
@@ -242,18 +246,13 @@ func (pc *protoCoordinator) park(m *protoMsg, remaining int) uint64 {
 }
 
 // writeAcquire handles a writer's ownership request: the server calls back
-// every current holder; the grant waits for their acks.
+// every current holder, in ascending host ID order; the grant waits for
+// their acks.
 func (pc *protoCoordinator) writeAcquire(m *protoMsg) {
 	if m.collect {
 		pc.blocksWritten++
 	}
-	holders := pc.holderScratch[:0]
-	for _, h := range pc.c.hosts {
-		if int32(h.ID()) != m.host && h.Holds(m.key) {
-			holders = append(holders, h)
-		}
-	}
-	pc.holderScratch = holders[:0]
+	holders := pc.holders(m.host, m.key)
 	if m.collect {
 		pc.controlMessages += uint64(2 * len(holders)) // callback + ack per holder
 	}
@@ -262,9 +261,31 @@ func (pc *protoCoordinator) writeAcquire(m *protoMsg) {
 		return
 	}
 	id := pc.park(m, len(holders))
-	for _, hh := range holders {
-		pc.deliverCallback(m.at, hh, m.key, id)
+	for _, g := range holders {
+		pc.deliverCallback(m.at, pc.c.hosts[g], m.key, id)
 	}
+}
+
+// holders gathers the global IDs of the hosts other than writer that hold
+// key, ascending, from the shard indexes: shard s's local host li is
+// global host li*shards + s. It runs between epochs, with every shard
+// quiescent; the result is valid until the next call.
+func (pc *protoCoordinator) holders(writer int32, key uint64) []int32 {
+	ids := pc.holderScratch[:0]
+	n := int32(len(pc.c.shards))
+	for s, sh := range pc.c.shards {
+		from := len(ids)
+		ids = sh.res.AppendHolders(ids, key)
+		for j := from; j < len(ids); j++ {
+			ids[j] = ids[j]*n + int32(s)
+		}
+	}
+	slices.Sort(ids)
+	if i, ok := slices.BinarySearch(ids, writer); ok {
+		ids = slices.Delete(ids, i, i+1)
+	}
+	pc.holderScratch = ids
+	return ids
 }
 
 // deliverCallback schedules the server's invalidation callback on the

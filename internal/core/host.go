@@ -175,7 +175,7 @@ func NewHost(eng *sim.Engine, cfg HostConfig, timing Timing,
 		h.flash = flash
 	}
 	if reg != nil {
-		reg.Register(h)
+		h.setResidencyHook(reg.Register(h))
 	}
 	h.startSyncers()
 	return h, nil
@@ -204,9 +204,8 @@ func (h *Host) Segment() *netsim.Segment { return h.seg }
 // tier, fn(key, false) when the last copy leaves. For the layered
 // architectures a tier's own insert/remove only changes any-tier
 // residency when the sibling tier has no copy, hence the Peek guards.
-// Sharded runs install the hook at construction to index which hosts hold
-// each block (see residency.go); sequential runs leave it unset and pay
-// nothing.
+// The consistency registry and the cluster shards install the hook at
+// construction to feed their consistency.HolderIndex.
 func (h *Host) setResidencyHook(fn func(key uint64, held bool)) {
 	if h.uni != nil {
 		h.uni.SetResidencyHook(func(k cache.Key, added bool) { fn(uint64(k), added) })

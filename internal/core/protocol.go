@@ -25,6 +25,26 @@ func (h *Host) Holds(key uint64) bool {
 	return h.flash != nil && h.flash.Peek(k) != nil
 }
 
+// AppendResident implements consistency.CacheHolder: every block some
+// tier caches, once.
+func (h *Host) AppendResident(dst []uint64) []uint64 {
+	if h.uni != nil {
+		for _, k := range h.uni.Keys(nil) {
+			dst = append(dst, uint64(k))
+		}
+		return dst
+	}
+	for _, k := range h.flash.Keys(nil) {
+		dst = append(dst, uint64(k))
+	}
+	for _, k := range h.ram.Keys(nil) {
+		if h.flash.Peek(k) == nil {
+			dst = append(dst, uint64(k))
+		}
+	}
+	return dst
+}
+
 // SendControl implements consistency.ProtocolPeer: one small packet on the
 // host's demand link.
 func (h *Host) SendControl(done func()) {
