@@ -296,14 +296,13 @@ func BenchmarkFleetPartitions(b *testing.B) {
 	}
 }
 
-// --- sharded scenario benches ---
+// --- scenario bench ---
 
-// benchScenario runs the crash-recovery built-in on a 64-host fleet with
-// a persistent flash cache, either sequentially (shards = 0) or on the
-// cluster. The pair tracks the scenario engine's sharded speedup; the
-// cluster rows are bit-identical at every shard count.
-func benchScenario(b *testing.B, shards int) {
-	b.Helper()
+// BenchmarkScenarioSharded runs the crash-recovery built-in on a 64-host
+// fleet with a persistent flash cache through the cluster's epoch barrier
+// at GOMAXPROCS shards (minimum two). Results are bit-identical at every
+// shard count.
+func BenchmarkScenarioSharded(b *testing.B) {
 	const scale = 4096
 	cfg := flashsim.ScaledConfig(scale)
 	cfg.Hosts = 64
@@ -312,7 +311,10 @@ func benchScenario(b *testing.B, shards int) {
 	cfg.FlashBlocks = 2 * flashsim.BlocksPerGB / scale
 	cfg.PersistentFlash = true
 	cfg.Workload.WorkingSetBlocks = 8 * int64(flashsim.BlocksPerGB) / scale
-	cfg.Shards = shards
+	cfg.Shards = runtime.GOMAXPROCS(0)
+	if cfg.Shards < 2 {
+		cfg.Shards = 2
+	}
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		sc, err := flashsim.BuiltinScenario("crash-recovery")
@@ -326,16 +328,4 @@ func benchScenario(b *testing.B, shards int) {
 		events = res.EngineEvents
 	}
 	b.ReportMetric(float64(events), "events/run")
-}
-
-func BenchmarkScenarioSequential(b *testing.B) { benchScenario(b, 0) }
-
-// BenchmarkScenarioSharded drives the same scenario through the cluster's
-// epoch barrier at GOMAXPROCS shards (minimum two).
-func BenchmarkScenarioSharded(b *testing.B) {
-	shards := runtime.GOMAXPROCS(0)
-	if shards < 2 {
-		shards = 2
-	}
-	benchScenario(b, shards)
 }

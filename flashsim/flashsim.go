@@ -309,8 +309,9 @@ type Config struct {
 	// the same exchange. Results are bit-identical for every Shards value
 	// >= 1 on any machine, but follow the cluster's (slightly different,
 	// fully deterministic) semantics rather than the sequential path's —
-	// see docs/ARCHITECTURE.md. 0 selects the classic sequential engine;
-	// a value larger than Hosts is clamped to Hosts.
+	// see docs/ARCHITECTURE.md. 0 selects the classic sequential engine,
+	// except for scenarios, which always run on the cluster (0 runs one
+	// shard); a value larger than Hosts is clamped to Hosts.
 	Shards int
 
 	// Seed drives simulator randomness (filer prefetch outcomes).
@@ -603,7 +604,7 @@ func verifyResidency(cfg Config, at string, check func() error) error {
 }
 
 // hostConfig maps the public Config onto one host's core configuration.
-// Every executor (sequential, sharded steady-state, sharded scenario)
+// Every executor (sequential, sharded steady-state, scenario)
 // builds its hosts through this single mapping, so a new Config knob
 // cannot reach one path and silently miss another.
 func hostConfig(cfg Config, id int) core.HostConfig {

@@ -29,8 +29,8 @@ func residencyConfig() Config {
 	return cfg
 }
 
-// residencyShards are the shard counts each case runs at: the
-// sequential engine and a two-shard cluster.
+// residencyShards are the shard counts each steady-state case runs at:
+// the sequential engine and a two-shard cluster.
 var residencyShards = []int{0, 2}
 
 func TestResidencyIndexMatchesCaches(t *testing.T) {
@@ -70,27 +70,28 @@ func TestResidencyIndexMatchesCaches(t *testing.T) {
 }
 
 func TestResidencyIndexAcrossScenarioEvents(t *testing.T) {
+	// Scenarios always run on the cluster, and shards=0 runs the same
+	// one-shard cluster, so one multi-shard cell covers each case.
+	const shards = 2
 	for _, name := range []string{"crash-recovery", "churn"} {
 		for _, arch := range []Architecture{Naive, Unified} {
-			for _, shards := range residencyShards {
-				t.Run(fmt.Sprintf("%s/%s/shards=%d", name, arch, shards), func(t *testing.T) {
-					cfg := residencyConfig()
-					cfg.Arch = arch
-					cfg.PersistentFlash = name == "crash-recovery"
-					cfg.Shards = shards
-					sc, err := BuiltinScenario(name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := RunScenario(cfg, sc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(res.Events) == 0 {
-						t.Fatal("scenario ran no events")
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%s/%s/shards=%d", name, arch, shards), func(t *testing.T) {
+				cfg := residencyConfig()
+				cfg.Arch = arch
+				cfg.PersistentFlash = name == "crash-recovery"
+				cfg.Shards = shards
+				sc, err := BuiltinScenario(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := RunScenario(cfg, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Events) == 0 {
+					t.Fatal("scenario ran no events")
+				}
+			})
 		}
 	}
 }

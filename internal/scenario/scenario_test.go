@@ -206,20 +206,6 @@ func TestBuiltinsValidateAndAreFresh(t *testing.T) {
 	}
 }
 
-func TestChurnAndMaxHost(t *testing.T) {
-	churn, _ := Builtin("churn")
-	if !churn.HasChurn() {
-		t.Error("churn builtin reports no churn")
-	}
-	if churn.MaxHost() != 1 {
-		t.Errorf("churn max host %d, want 1", churn.MaxHost())
-	}
-	warm, _ := Builtin("warmup")
-	if warm.HasChurn() || warm.MaxHost() != -1 {
-		t.Error("warmup misreports churn/hosts")
-	}
-}
-
 func TestClone(t *testing.T) {
 	s := validScenario()
 	c := s.Clone()
