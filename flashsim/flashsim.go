@@ -318,10 +318,10 @@ type Config struct {
 	Seed uint64
 
 	// checkResidency makes a run verify, at its end and after every
-	// scenario event, that each consistency holder index (the registry's
-	// or every cluster shard's) lists exactly the blocks its hosts cache,
-	// failing the run on divergence. Tests set it; it never changes
-	// results.
+	// scenario event, scripted or injected, that each consistency holder
+	// index (the registry's or every cluster shard's) lists exactly the
+	// blocks its hosts cache, failing the run on divergence. Tests set
+	// it; it never changes results.
 	checkResidency bool
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/scenario"
 )
 
 // The holder index is the only way either executor finds the hosts to
@@ -110,6 +111,56 @@ func TestResidencyIndexPropertyConfigs(t *testing.T) {
 		t.Run(fmt.Sprintf("config%02d", i), func(t *testing.T) {
 			if _, err := Run(cfg); err != nil {
 				t.Fatalf("%s: %v", describe(cfg), err)
+			}
+		})
+	}
+}
+
+// TestResidencyIndexAcrossInjectedEvents injects a crash, a flush and a
+// leave into a streaming run at three different epoch barriers. Injected
+// events only start their work and let it overlap the running phase, and
+// the audit runs right after each one as well as at the end.
+func TestResidencyIndexAcrossInjectedEvents(t *testing.T) {
+	for _, arch := range []Architecture{Naive, Unified} {
+		t.Run(arch.String(), func(t *testing.T) {
+			cfg := residencyConfig()
+			cfg.Arch = arch
+			cfg.PersistentFlash = true
+			cfg.Shards = 2
+			ctl := NewRunController(cfg)
+			plan := map[int]ScenarioEvent{
+				1: {Kind: scenario.EventCrash, Host: 0},
+				3: {Kind: scenario.EventFlush, Host: 1, Fraction: 0.5},
+				5: {Kind: scenario.EventLeave, Host: 2},
+			}
+			samples := 0
+			hooks := ScenarioHooks{Sample: func(float64, []float64) {
+				samples++
+				if ev, ok := plan[samples]; ok {
+					if err := ctl.Inject(ev); err != nil {
+						t.Errorf("Inject(%+v): %v", ev, err)
+					}
+				}
+			}}
+			sc := &Scenario{Name: "injected", Phases: []ScenarioPhase{
+				{Name: "warm", Blocks: 6000},
+				{Name: "steady", Blocks: 6000},
+			}}
+			res, err := RunScenarioStream(cfg, sc, hooks, ctl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kinds []string
+			for _, e := range res.Events {
+				if e.Injected {
+					kinds = append(kinds, e.Kind)
+				}
+			}
+			if fmt.Sprint(kinds) != "[crash flush leave]" {
+				t.Fatalf("injected events %v after %d samples, want crash, flush, leave", kinds, samples)
+			}
+			if crash := res.Events[0]; crash.Dropped == 0 {
+				t.Fatalf("injected crash %+v dropped no blocks", crash)
 			}
 		})
 	}

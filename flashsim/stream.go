@@ -149,6 +149,9 @@ func (r *shardedScenarioRun) checkpoint() error {
 		if err := r.applyEvent(r.curPhase, ev, false); err != nil {
 			return fmt.Errorf("injected %s event: %w", ev.Kind, err)
 		}
+		if err := verifyResidency(r.cfg, "after injected "+string(ev.Kind), r.cl.CheckResidency); err != nil {
+			return err
+		}
 	}
 	return nil
 }

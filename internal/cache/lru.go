@@ -1,8 +1,15 @@
 // Package cache provides the LRU block-cache substrate used by every cache
-// tier in the simulator: an intrusive doubly-linked LRU list with a hash
-// index, dirty-block tracking on a second intrusive list (so the periodic
-// syncer can flush in O(dirty)), and a two-medium unified variant for the
-// paper's "unified" architecture.
+// tier in the simulator: an intrusive doubly-linked LRU list, dirty-block
+// tracking on a second intrusive list (so the periodic syncer can flush in
+// O(dirty)), and a two-medium unified variant for the paper's "unified"
+// architecture.
+//
+// Every policy finds its blocks through one compact, pointer-free index
+// (index.go): an open-addressing table of 8-byte cells, each a 32-bit hash
+// tag plus the slot of an entry in the cache's own slab of geometrically
+// growing, never-copied pages. Entries link to each other by slot, so the
+// garbage collector never scans a cache, and an *Entry stays valid for the
+// cache's lifetime.
 //
 // The package is purely a data structure: it tracks which blocks are
 // resident and in what state, but knows nothing about latencies or devices.
@@ -38,32 +45,15 @@ func (m Medium) String() string {
 }
 
 // Entry is a resident cache block. Entries are owned by their cache and
-// must not be retained after removal.
+// must not be retained after removal. An Entry holds no pointers: its list
+// links are slots in its cache's entry slab.
 type Entry struct {
-	key    Key
-	medium Medium
+	key Key
 
-	// Dirty marks data newer than the next tier down.
-	Dirty bool
-	// WritebackInFlight marks an asynchronous writeback issued but not yet
-	// completed; a re-dirty during flight must trigger another writeback.
-	WritebackInFlight bool
-	// Pinned blocks cannot be chosen as eviction victims (e.g. a block
-	// whose fill from the filer has not completed).
-	Pinned bool
 	// DirtyEpoch increments on every application write; an asynchronous
 	// writeback captures the epoch when it starts so its completion can
 	// tell whether the block was re-dirtied in flight.
 	DirtyEpoch uint64
-	// Referenced is CLOCK's second-chance bit.
-	Referenced bool
-	// seg records which internal segment of a multi-queue policy (SLRU,
-	// 2Q) the entry currently occupies.
-	seg uint8
-
-	prev, next           *Entry // LRU list
-	dirtyPrev, dirtyNext *Entry // dirty list
-	inDirty              bool
 
 	// gen counts how many times this Entry struct has been removed from
 	// its cache. Entries are recycled through a per-cache free list, so a
@@ -72,7 +62,30 @@ type Entry struct {
 	// point of known validity and re-check it (together with the index
 	// lookup) before trusting the pointer.
 	gen uint64
+
+	links [2]link // recency (or segment) list and dirty list
+	slot  int32   // this entry's slot in its cache's slab
+
+	medium Medium
+	// Dirty marks data newer than the next tier down.
+	Dirty bool
+	// WritebackInFlight marks an asynchronous writeback issued but not yet
+	// completed; a re-dirty during flight must trigger another writeback.
+	WritebackInFlight bool
+	// Pinned blocks cannot be chosen as eviction victims (e.g. a block
+	// whose fill from the filer has not completed).
+	Pinned bool
+	// Referenced is CLOCK's second-chance bit.
+	Referenced bool
+	// seg records which internal segment of a multi-queue policy (SLRU,
+	// 2Q) the entry currently occupies.
+	seg     uint8
+	inDirty bool
 }
+
+// link is an entry's place on one list: its neighbours' slots, 0 at the
+// ends.
+type link struct{ prev, next int32 }
 
 // Key returns the entry's block key.
 func (e *Entry) Key() Key { return e.key }
@@ -85,115 +98,12 @@ func (e *Entry) Medium() Medium { return e.medium }
 // residency the way bare pointers did before entries were pooled.
 func (e *Entry) Gen() uint64 { return e.gen }
 
-// entryPool is a per-cache free list of Entry structs: eviction/insert
-// churn at steady state recycles entries instead of allocating. The free
-// list threads through the (otherwise nil) LRU next pointer.
-type entryPool struct {
-	free *Entry
-}
-
-// get returns a reset entry for key on medium m, recycling if possible.
-// The reuse generation survives the reset.
-func (p *entryPool) get(key Key, m Medium) *Entry {
-	e := p.free
-	if e == nil {
-		return &Entry{key: key, medium: m}
-	}
-	p.free = e.next
-	gen := e.gen
-	*e = Entry{key: key, medium: m, gen: gen}
-	return e
-}
-
-// put recycles a removed (fully unlinked) entry, bumping its generation so
-// stale (pointer, gen) holders can detect the reuse.
-func (p *entryPool) put(e *Entry) {
-	e.gen++
-	e.next = p.free
-	p.free = e
-}
-
-// list is an intrusive circular doubly-linked list with a sentinel.
-type list struct {
-	sentinel Entry
-	len      int
-	dirty    bool // operates on the dirty links rather than LRU links
-}
-
-func (l *list) init(dirty bool) {
-	l.dirty = dirty
-	if dirty {
-		l.sentinel.dirtyPrev = &l.sentinel
-		l.sentinel.dirtyNext = &l.sentinel
-	} else {
-		l.sentinel.prev = &l.sentinel
-		l.sentinel.next = &l.sentinel
-	}
-}
-
-func (l *list) links(e *Entry) (prev, next **Entry) {
-	if l.dirty {
-		return &e.dirtyPrev, &e.dirtyNext
-	}
-	return &e.prev, &e.next
-}
-
-// pushFront inserts e at the MRU end.
-func (l *list) pushFront(e *Entry) {
-	ep, en := l.links(e)
-	sp, sn := l.links(&l.sentinel)
-	_ = sp
-	first := *sn
-	*ep = &l.sentinel
-	*en = first
-	fp, _ := l.links(first)
-	*fp = e
-	*sn = e
-	l.len++
-}
-
-// remove unlinks e.
-func (l *list) remove(e *Entry) {
-	ep, en := l.links(e)
-	p, n := *ep, *en
-	pp, pn := l.links(p)
-	_ = pp
-	np, nn := l.links(n)
-	_ = nn
-	*pn = n
-	*np = p
-	*ep, *en = nil, nil
-	l.len--
-}
-
-// back returns the LRU-end entry, or nil if empty.
-func (l *list) back() *Entry {
-	_, sn := l.links(&l.sentinel)
-	_ = sn
-	sp, _ := l.links(&l.sentinel)
-	if *sp == &l.sentinel {
-		return nil
-	}
-	return *sp
-}
-
-// front returns the MRU-end entry, or nil if empty.
-func (l *list) front() *Entry {
-	_, sn := l.links(&l.sentinel)
-	if *sn == &l.sentinel {
-		return nil
-	}
-	return *sn
-}
-
-// LRU is a fixed-capacity single-medium LRU cache of blocks.
-type LRU struct {
-	capacity int
-	medium   Medium
-	index    map[Key]*Entry
-	lru      list
-	dirties  list
-	pool     entryPool
+// base is the state every policy shares: the index with its entries, the
+// dirty list, the residency hook and the counters. Policies embed it and
+// keep their own recency lists.
+type base struct {
+	tab     table
+	dirties list // threads the dirty links
 
 	// resHook, when set, observes every residency transition: called with
 	// (key, true) as Insert indexes the block and (key, false) as Remove
@@ -205,6 +115,115 @@ type LRU struct {
 	hits, misses, evictions uint64
 }
 
+func (b *base) init(capacity int) {
+	b.tab.init(capacity)
+	b.dirties = list{k: dirtyLinks}
+}
+
+// Capacity returns the maximum number of resident blocks.
+func (b *base) Capacity() int { return b.tab.capacity }
+
+// Len returns the number of resident blocks.
+func (b *base) Len() int { return b.tab.n }
+
+// NeedsEviction reports whether inserting one more block requires a victim.
+func (b *base) NeedsEviction() bool { return b.tab.n >= b.tab.capacity }
+
+// DirtyLen returns the number of dirty resident blocks.
+func (b *base) DirtyLen() int { return b.dirties.len }
+
+// SetResidencyHook registers fn to observe every block entering (added
+// true) and leaving (added false) this cache. Set once, before any
+// inserts; a nil hook (the default) costs nothing on the hot paths.
+func (b *base) SetResidencyHook(fn func(Key, bool)) { b.resHook = fn }
+
+// Hits and Misses report Get outcomes; Evictions reports victims removed.
+func (b *base) Hits() uint64      { return b.hits }
+func (b *base) Misses() uint64    { return b.misses }
+func (b *base) Evictions() uint64 { return b.evictions }
+
+// Peek looks up key without promoting or counting.
+func (b *base) Peek(key Key) *Entry { return b.tab.lookup(key) }
+
+// get looks up key, counting the outcome.
+func (b *base) get(key Key) *Entry {
+	e := b.tab.lookup(key)
+	if e == nil {
+		b.misses++
+	} else {
+		b.hits++
+	}
+	return e
+}
+
+// insert indexes key on medium m at the MRU end of l. The caller must
+// have made room: insert panics if the cache is full or key is present.
+// Zero-capacity caches ignore the insert and return nil.
+func (b *base) insert(key Key, m Medium, l *list) *Entry {
+	if b.tab.capacity == 0 {
+		return nil
+	}
+	if b.NeedsEviction() {
+		panic("cache: insert into full cache")
+	}
+	e := b.tab.insert(key, m)
+	b.tab.pushFront(l, e)
+	if b.resHook != nil {
+		b.resHook(key, true)
+	}
+	return e
+}
+
+// remove evicts e, which sits on l, clearing its dirty state.
+func (b *base) remove(e *Entry, l *list) {
+	i := b.tab.cellOf(e)
+	if e.inDirty {
+		b.tab.unlink(&b.dirties, e)
+		e.inDirty = false
+		e.Dirty = false
+	}
+	b.tab.unlink(l, e)
+	b.tab.drop(i, e)
+	b.evictions++
+	if b.resHook != nil {
+		b.resHook(e.key, false)
+	}
+}
+
+// MarkDirty flags e dirty and places it on the dirty list.
+func (b *base) MarkDirty(e *Entry) {
+	if !e.inDirty {
+		b.tab.pushFront(&b.dirties, e)
+		e.inDirty = true
+	}
+	e.Dirty = true
+}
+
+// MarkClean clears e's dirty flag and removes it from the dirty list.
+func (b *base) MarkClean(e *Entry) {
+	if e.inDirty {
+		b.tab.unlink(&b.dirties, e)
+		e.inDirty = false
+	}
+	e.Dirty = false
+}
+
+// AppendDirty appends all dirty entries, oldest first, to dst and returns
+// it. The returned entries remain owned by the cache.
+func (b *base) AppendDirty(dst []*Entry) []*Entry {
+	for e := b.tab.back(&b.dirties); e != nil; e = b.tab.prev(&b.dirties, e) {
+		dst = append(dst, e)
+	}
+	return dst
+}
+
+// LRU is a fixed-capacity single-medium LRU cache of blocks.
+type LRU struct {
+	base
+	medium Medium
+	lru    list
+}
+
 // NewLRU returns an LRU cache holding at most capacity blocks on medium m.
 // A zero capacity cache is valid and caches nothing.
 func NewLRU(capacity int, m Medium) *LRU {
@@ -213,200 +232,48 @@ func NewLRU(capacity int, m Medium) *LRU {
 	return c
 }
 
-// initLRU initialises the cache in place. The intrusive list sentinels
-// hold self-pointers, so an LRU must never be copied after initialisation;
-// embedding types initialise through this method.
+// initLRU initialises the cache in place; embedding types initialise
+// through this method.
 func (c *LRU) initLRU(capacity int, m Medium) {
-	if capacity < 0 {
-		panic("cache: negative capacity")
-	}
-	c.capacity = capacity
+	c.init(capacity)
 	c.medium = m
-	c.index = make(map[Key]*Entry, capacity)
-	c.lru.init(false)
-	c.dirties.init(true)
 }
-
-// Capacity returns the maximum number of resident blocks.
-func (c *LRU) Capacity() int { return c.capacity }
-
-// Len returns the number of resident blocks.
-func (c *LRU) Len() int { return c.lru.len }
-
-// DirtyLen returns the number of dirty resident blocks.
-func (c *LRU) DirtyLen() int { return c.dirties.len }
 
 // Medium returns the cache's storage medium.
 func (c *LRU) Medium() Medium { return c.medium }
 
-// SetResidencyHook registers fn to observe every block entering (added
-// true) and leaving (added false) this cache. Set once, before any
-// inserts; a nil hook (the default) costs nothing on the hot paths.
-func (c *LRU) SetResidencyHook(fn func(Key, bool)) { c.resHook = fn }
-
-// Hits and Misses report Get outcomes; Evictions reports victims removed.
-func (c *LRU) Hits() uint64      { return c.hits }
-func (c *LRU) Misses() uint64    { return c.misses }
-func (c *LRU) Evictions() uint64 { return c.evictions }
-
 // Get looks up key, promoting it to MRU on hit and counting the outcome.
 func (c *LRU) Get(key Key) *Entry {
-	e, ok := c.index[key]
-	if !ok {
-		c.misses++
-		return nil
+	e := c.get(key)
+	if e != nil {
+		c.tab.moveToFront(&c.lru, e)
 	}
-	c.hits++
-	c.lru.remove(e)
-	c.lru.pushFront(e)
 	return e
 }
 
-// Peek looks up key without promoting or counting.
-func (c *LRU) Peek(key Key) *Entry {
-	return c.index[key]
-}
-
 // Touch promotes an entry to MRU without counting a hit.
-func (c *LRU) Touch(e *Entry) {
-	c.lru.remove(e)
-	c.lru.pushFront(e)
-}
-
-// NeedsEviction reports whether inserting one more block requires a victim.
-func (c *LRU) NeedsEviction() bool {
-	return c.lru.len >= c.capacity
-}
+func (c *LRU) Touch(e *Entry) { c.tab.moveToFront(&c.lru, e) }
 
 // Victim returns the least recently used unpinned entry, or nil if none
 // exists. It does not remove the entry: callers that must write back a
 // dirty victim do so first, then call Remove.
-func (c *LRU) Victim() *Entry {
-	for e := c.lru.back(); e != nil && e != &c.lru.sentinel; e = e.prev {
-		if !e.Pinned {
-			return e
-		}
-	}
-	return nil
-}
+func (c *LRU) Victim() *Entry { return c.tab.lastUnpinned(&c.lru) }
 
 // Insert adds key at MRU. The caller must have made room: Insert panics if
 // the cache is full (use Victim/Remove first) or if key is present.
 // Zero-capacity caches ignore the insert and return nil.
-func (c *LRU) Insert(key Key) *Entry {
-	if c.capacity == 0 {
-		return nil
-	}
-	if _, ok := c.index[key]; ok {
-		panic(fmt.Sprintf("cache: duplicate insert of key %d", key))
-	}
-	if c.lru.len >= c.capacity {
-		panic("cache: insert into full cache")
-	}
-	e := c.pool.get(key, c.medium)
-	c.index[key] = e
-	c.lru.pushFront(e)
-	if c.resHook != nil {
-		c.resHook(key, true)
-	}
-	return e
-}
+func (c *LRU) Insert(key Key) *Entry { return c.insert(key, c.medium, &c.lru) }
 
 // Remove evicts e from the cache. Dirty state is the caller's problem: the
 // cache only maintains the bookkeeping.
-func (c *LRU) Remove(e *Entry) {
-	if c.index[e.key] != e {
-		panic("cache: removing entry not in cache")
-	}
-	if e.inDirty {
-		c.dirties.remove(e)
-		e.inDirty = false
-		e.Dirty = false
-	}
-	delete(c.index, e.key)
-	c.lru.remove(e)
-	c.evictions++
-	if c.resHook != nil {
-		c.resHook(e.key, false)
-	}
-	c.pool.put(e)
-}
-
-// MarkDirty flags e dirty and places it on the dirty list.
-func (c *LRU) MarkDirty(e *Entry) {
-	if !e.inDirty {
-		c.dirties.pushFront(e)
-		e.inDirty = true
-	}
-	e.Dirty = true
-}
-
-// MarkClean clears e's dirty flag and removes it from the dirty list.
-func (c *LRU) MarkClean(e *Entry) {
-	if e.inDirty {
-		c.dirties.remove(e)
-		e.inDirty = false
-	}
-	e.Dirty = false
-}
+func (c *LRU) Remove(e *Entry) { c.remove(e, &c.lru) }
 
 // OldestDirty returns the least recently dirtied entry, or nil.
-func (c *LRU) OldestDirty() *Entry {
-	e := c.dirties.back()
-	if e == &c.dirties.sentinel {
-		return nil
-	}
-	return e
-}
-
-// AppendDirty appends all dirty entries, oldest first, to dst and returns
-// it. The returned entries remain owned by the cache.
-func (c *LRU) AppendDirty(dst []*Entry) []*Entry {
-	for e := c.dirties.back(); e != nil && e != &c.dirties.sentinel; e = e.dirtyPrev {
-		dst = append(dst, e)
-	}
-	return dst
-}
+func (c *LRU) OldestDirty() *Entry { return c.tab.back(&c.dirties) }
 
 // Keys appends all resident keys, MRU first, to dst and returns it.
-func (c *LRU) Keys(dst []Key) []Key {
-	for e := c.lru.front(); e != nil && e != &c.lru.sentinel; e = e.next {
-		dst = append(dst, e.key)
-	}
-	return dst
-}
+func (c *LRU) Keys(dst []Key) []Key { return c.tab.appendKeys(&c.lru, dst) }
 
 // CheckInvariants verifies internal consistency; tests call this after
 // random operation sequences.
-func (c *LRU) CheckInvariants() error {
-	if c.lru.len != len(c.index) {
-		return fmt.Errorf("lru len %d != index len %d", c.lru.len, len(c.index))
-	}
-	if c.lru.len > c.capacity {
-		return fmt.Errorf("len %d exceeds capacity %d", c.lru.len, c.capacity)
-	}
-	seen := 0
-	dirtySeen := 0
-	for e := c.lru.front(); e != nil && e != &c.lru.sentinel; e = e.next {
-		if c.index[e.key] != e {
-			return fmt.Errorf("entry %d on list but not indexed", e.key)
-		}
-		if e.Dirty != e.inDirty {
-			return fmt.Errorf("entry %d dirty flag %v but inDirty %v", e.key, e.Dirty, e.inDirty)
-		}
-		if e.Dirty {
-			dirtySeen++
-		}
-		seen++
-		if seen > c.lru.len {
-			return fmt.Errorf("lru list longer than recorded length")
-		}
-	}
-	if seen != c.lru.len {
-		return fmt.Errorf("walked %d entries, recorded %d", seen, c.lru.len)
-	}
-	if dirtySeen != c.dirties.len {
-		return fmt.Errorf("dirty flags %d != dirty list %d", dirtySeen, c.dirties.len)
-	}
-	return nil
-}
+func (c *LRU) CheckInvariants() error { return c.tab.check(&c.dirties, &c.lru) }

@@ -126,15 +126,7 @@ func NewFIFO(capacity int, m Medium) *FIFO {
 }
 
 // Get looks up key without promoting.
-func (f *FIFO) Get(key Key) *Entry {
-	e, ok := f.index[key]
-	if !ok {
-		f.misses++
-		return nil
-	}
-	f.hits++
-	return e
-}
+func (f *FIFO) Get(key Key) *Entry { return f.get(key) }
 
 // Touch is a no-op: FIFO order is insertion order.
 func (f *FIFO) Touch(e *Entry) {}
@@ -155,13 +147,10 @@ func NewClock(capacity int, m Medium) *Clock {
 
 // Get looks up key and sets its referenced bit.
 func (c *Clock) Get(key Key) *Entry {
-	e, ok := c.index[key]
-	if !ok {
-		c.misses++
-		return nil
+	e := c.get(key)
+	if e != nil {
+		e.Referenced = true
 	}
-	c.hits++
-	e.Referenced = true
 	return e
 }
 
@@ -176,20 +165,18 @@ func (c *Clock) Victim() *Entry {
 	// referenced bits are clear, so the second must find a victim unless
 	// everything is pinned.
 	for i := 0; i < 2*c.lru.len+1; i++ {
-		e := c.lru.back()
-		if e == nil || e == &c.lru.sentinel {
+		e := c.tab.back(&c.lru)
+		if e == nil {
 			return nil
 		}
 		if e.Pinned {
 			// Rotate pinned entries past the hand.
-			c.lru.remove(e)
-			c.lru.pushFront(e)
+			c.tab.moveToFront(&c.lru, e)
 			continue
 		}
 		if e.Referenced {
 			e.Referenced = false
-			c.lru.remove(e)
-			c.lru.pushFront(e)
+			c.tab.moveToFront(&c.lru, e)
 			continue
 		}
 		return e

@@ -8,18 +8,13 @@ import "fmt"
 // buffer's medium, and never migrates. No attempt is made to prefer RAM over
 // flash.
 type Unified struct {
-	index   map[Key]*Entry
-	lru     list
-	dirties list
-	pool    entryPool
-	resHook func(Key, bool)
+	base
+	lru list
 
 	ramBufs, flashBufs int // total buffers per medium
 	freeRAM, freeFlash int // unallocated buffers per medium
 	residentRAM        int // resident entries backed by RAM
-	hits, misses       uint64
 	hitsRAM, hitsFlash uint64
-	evictions          uint64
 	allocFlipFlop      bool // tie-breaker for free-buffer allocation
 }
 
@@ -29,83 +24,43 @@ func NewUnified(ramBufs, flashBufs int) *Unified {
 		panic("cache: negative buffer count")
 	}
 	u := &Unified{
-		index:     make(map[Key]*Entry, ramBufs+flashBufs),
 		ramBufs:   ramBufs,
 		flashBufs: flashBufs,
 		freeRAM:   ramBufs,
 		freeFlash: flashBufs,
 	}
-	u.lru.init(false)
-	u.dirties.init(true)
+	u.init(ramBufs + flashBufs)
 	return u
 }
-
-// Capacity returns the total buffer count.
-func (u *Unified) Capacity() int { return u.ramBufs + u.flashBufs }
-
-// Len returns the number of resident blocks.
-func (u *Unified) Len() int { return u.lru.len }
-
-// DirtyLen returns the number of dirty resident blocks.
-func (u *Unified) DirtyLen() int { return u.dirties.len }
 
 // ResidentRAM returns how many resident blocks live in RAM buffers.
 func (u *Unified) ResidentRAM() int { return u.residentRAM }
 
 // Keys appends all resident keys, MRU first, to dst and returns it.
-func (u *Unified) Keys(dst []Key) []Key {
-	for e := u.lru.front(); e != nil && e != &u.lru.sentinel; e = e.next {
-		dst = append(dst, e.key)
-	}
-	return dst
-}
+func (u *Unified) Keys(dst []Key) []Key { return u.tab.appendKeys(&u.lru, dst) }
 
-// SetResidencyHook mirrors BlockCache.SetResidencyHook.
-func (u *Unified) SetResidencyHook(fn func(Key, bool)) { u.resHook = fn }
-
-// Hits/Misses/Evictions mirror LRU. HitsByMedium splits hits.
-func (u *Unified) Hits() uint64      { return u.hits }
-func (u *Unified) Misses() uint64    { return u.misses }
-func (u *Unified) Evictions() uint64 { return u.evictions }
+// HitsByMedium splits hits.
 func (u *Unified) HitsByMedium() (ram, flash uint64) {
 	return u.hitsRAM, u.hitsFlash
 }
 
 // Get looks up key, promoting to MRU and counting the outcome.
 func (u *Unified) Get(key Key) *Entry {
-	e, ok := u.index[key]
-	if !ok {
-		u.misses++
+	e := u.get(key)
+	if e == nil {
 		return nil
 	}
-	u.hits++
 	if e.medium == RAM {
 		u.hitsRAM++
 	} else {
 		u.hitsFlash++
 	}
-	u.lru.remove(e)
-	u.lru.pushFront(e)
+	u.tab.moveToFront(&u.lru, e)
 	return e
 }
 
-// Peek looks up key without promoting or counting.
-func (u *Unified) Peek(key Key) *Entry { return u.index[key] }
-
-// NeedsEviction reports whether an insert requires a victim.
-func (u *Unified) NeedsEviction() bool {
-	return u.freeRAM == 0 && u.freeFlash == 0
-}
-
 // Victim returns the least recently used unpinned entry, or nil.
-func (u *Unified) Victim() *Entry {
-	for e := u.lru.back(); e != nil && e != &u.lru.sentinel; e = e.prev {
-		if !e.Pinned {
-			return e
-		}
-	}
-	return nil
-}
+func (u *Unified) Victim() *Entry { return u.tab.lastUnpinned(&u.lru) }
 
 // Insert adds key at MRU, choosing the buffer medium. While free buffers
 // remain, allocation draws from whichever pool has proportionally more free
@@ -117,10 +72,8 @@ func (u *Unified) Insert(key Key) *Entry {
 	if u.Capacity() == 0 {
 		return nil
 	}
-	if _, ok := u.index[key]; ok {
-		panic(fmt.Sprintf("cache: duplicate insert of key %d", key))
-	}
 	var m Medium
+	tie := false
 	switch {
 	case u.freeRAM == 0 && u.freeFlash == 0:
 		panic("cache: insert into full unified cache")
@@ -136,14 +89,15 @@ func (u *Unified) Insert(key Key) *Entry {
 			m = RAM
 		case ff > fr:
 			m = Flash
+		case u.allocFlipFlop:
+			m, tie = RAM, true
 		default:
-			if u.allocFlipFlop {
-				m = RAM
-			} else {
-				m = Flash
-			}
-			u.allocFlipFlop = !u.allocFlipFlop
+			m, tie = Flash, true
 		}
+	}
+	e := u.insert(key, m, &u.lru)
+	if tie {
+		u.allocFlipFlop = !u.allocFlipFlop
 	}
 	if m == RAM {
 		u.freeRAM--
@@ -151,83 +105,31 @@ func (u *Unified) Insert(key Key) *Entry {
 	} else {
 		u.freeFlash--
 	}
-	e := u.pool.get(key, m)
-	u.index[key] = e
-	u.lru.pushFront(e)
-	if u.resHook != nil {
-		u.resHook(key, true)
-	}
 	return e
 }
 
 // Remove evicts e, returning its buffer to the free pool.
 func (u *Unified) Remove(e *Entry) {
-	if u.index[e.key] != e {
-		panic("cache: removing entry not in unified cache")
-	}
-	if e.inDirty {
-		u.dirties.remove(e)
-		e.inDirty = false
-		e.Dirty = false
-	}
-	delete(u.index, e.key)
-	u.lru.remove(e)
+	u.remove(e, &u.lru)
 	if e.medium == RAM {
 		u.freeRAM++
 		u.residentRAM--
 	} else {
 		u.freeFlash++
 	}
-	u.evictions++
-	if u.resHook != nil {
-		u.resHook(e.key, false)
-	}
-	u.pool.put(e)
-}
-
-// MarkDirty flags e dirty and places it on the dirty list.
-func (u *Unified) MarkDirty(e *Entry) {
-	if !e.inDirty {
-		u.dirties.pushFront(e)
-		e.inDirty = true
-	}
-	e.Dirty = true
-}
-
-// MarkClean clears e's dirty flag.
-func (u *Unified) MarkClean(e *Entry) {
-	if e.inDirty {
-		u.dirties.remove(e)
-		e.inDirty = false
-	}
-	e.Dirty = false
-}
-
-// AppendDirty appends all dirty entries, oldest first.
-func (u *Unified) AppendDirty(dst []*Entry) []*Entry {
-	for e := u.dirties.back(); e != nil && e != &u.dirties.sentinel; e = e.dirtyPrev {
-		dst = append(dst, e)
-	}
-	return dst
 }
 
 // CheckInvariants verifies internal consistency.
 func (u *Unified) CheckInvariants() error {
-	if u.lru.len != len(u.index) {
-		return fmt.Errorf("lru len %d != index len %d", u.lru.len, len(u.index))
+	if err := u.tab.check(&u.dirties, &u.lru); err != nil {
+		return err
 	}
-	ram, flash, dirty := 0, 0, 0
-	for e := u.lru.front(); e != nil && e != &u.lru.sentinel; e = e.next {
-		if u.index[e.key] != e {
-			return fmt.Errorf("entry %d on list but not indexed", e.key)
-		}
+	ram, flash := 0, 0
+	for e := u.tab.front(&u.lru); e != nil; e = u.tab.next(&u.lru, e) {
 		if e.medium == RAM {
 			ram++
 		} else {
 			flash++
-		}
-		if e.Dirty {
-			dirty++
 		}
 	}
 	if ram != u.residentRAM {
@@ -238,9 +140,6 @@ func (u *Unified) CheckInvariants() error {
 	}
 	if flash+u.freeFlash != u.flashBufs {
 		return fmt.Errorf("flash buffers leaked: %d resident + %d free != %d", flash, u.freeFlash, u.flashBufs)
-	}
-	if dirty != u.dirties.len {
-		return fmt.Errorf("dirty flags %d != dirty list %d", dirty, u.dirties.len)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/trace"
 )
 
 // The pooled request path's contract: once a host is warm (request records
@@ -12,8 +13,8 @@ import (
 // a small fixed amount — independent of how many requests have run.
 //
 // The budget is deliberately not zero: Go map internals (the fetch-dedup
-// pending table, cache indexes) may occasionally rehash, and the filer's
-// RNG draw feeds a histogram. It is a ceiling on the *steady state*, where
+// pending table) may occasionally rehash, and the filer's RNG draw feeds a
+// histogram. The cache indexes are presized and never grow. It is a ceiling on the *steady state*, where
 // the closure-based predecessor allocated on every asynchronous hop.
 const allocBudgetPerRequest = 4.0
 
@@ -65,5 +66,33 @@ func TestWarmRAMHitAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm RAM read hit allocated %v per run, want 0", allocs)
+	}
+}
+
+// repeatSource yields the same op forever.
+type repeatSource struct{ op trace.Op }
+
+func (s *repeatSource) Next() (trace.Op, bool) { return s.op, true }
+
+// A pump that finds its head-of-line op's thread queue still full keeps
+// holding the op; re-checking the full window must not allocate.
+func TestFullWindowPumpAllocationFree(t *testing.T) {
+	eng, hosts, _ := buildCluster(t, 1, baseCfg(Naive), testTiming(), false)
+	src := &repeatSource{trace.Op{Host: 0, Thread: 0, Kind: trace.Read, File: 1, Count: 1}}
+	d, err := NewDriver(eng, hosts, nil, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.pump() // fills the thread's queue and holds the next op
+	if !d.holding {
+		t.Fatal("pump did not hold an op behind the full window")
+	}
+	allocs := testing.AllocsPerRun(1000, d.pump)
+	if allocs != 0 {
+		t.Errorf("full-window pump allocated %v per run, want 0", allocs)
+	}
+	if !d.holding || d.consumed != int64(d.window)+2 {
+		t.Fatalf("holding %v after consuming %d blocks, want the op after the window held",
+			d.holding, d.consumed)
 	}
 }

@@ -25,7 +25,8 @@ type Driver struct {
 	queues  map[uint32][]trace.Op
 	qtimes  map[uint32][]sim.Time // per-op enqueue times; only when tracing
 	busy    map[uint32]bool
-	held    *trace.Op // head-of-line op whose thread queue is full
+	held    trace.Op // head-of-line op whose thread queue is full, if holding
+	holding bool
 	srcDone bool
 	freeOps *opTask // free list of per-op execution records
 
@@ -91,8 +92,8 @@ func (d *Driver) hostFor(op trace.Op) *Host {
 func (d *Driver) pump() {
 	for {
 		var op trace.Op
-		if d.held != nil {
-			op = *d.held
+		if d.holding {
+			op = d.held
 		} else {
 			var ok bool
 			op, ok = d.src.Next()
@@ -104,11 +105,10 @@ func (d *Driver) pump() {
 		}
 		tk := threadKey(op.Host, op.Thread)
 		if len(d.queues[tk]) >= d.window {
-			held := op
-			d.held = &held
+			d.held, d.holding = op, true
 			return
 		}
-		d.held = nil
+		d.holding = false
 		d.queues[tk] = append(d.queues[tk], op)
 		if d.tracing() {
 			if d.qtimes == nil {
@@ -250,7 +250,7 @@ func (d *Driver) Done() bool { return d.done() }
 
 // done reports whether all trace work has completed.
 func (d *Driver) done() bool {
-	if !d.srcDone || d.held != nil || d.opsInFlight > 0 {
+	if !d.srcDone || d.holding || d.opsInFlight > 0 {
 		return false
 	}
 	for _, q := range d.queues {

@@ -12,11 +12,11 @@ import (
 // access); now each step is a package-level func(any) and its state rides
 // in a hostReq record recycled through a host-local free list.
 //
-// Correctness rule: cache entries are themselves pooled (see
-// cache.entryPool), so a retained *cache.Entry does not prove identity
-// across an asynchronous boundary. Whenever a record carries an entry past
-// one, it carries (key, entry, Gen()) captured at a point of known
-// validity, and the resuming stage re-checks
+// Correctness rule: cache entries are themselves pooled (each cache's
+// entry slab recycles removed slots), so a retained *cache.Entry does not
+// prove identity across an asynchronous boundary. Whenever a record
+// carries an entry past one, it carries (key, entry, Gen()) captured at a
+// point of known validity, and the resuming stage re-checks
 //
 //	tierPeek(tier, key) == entry && entry.Gen() == gen
 //
