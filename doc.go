@@ -47,11 +47,11 @@
 //
 // # Allocation-free event core
 //
-// The engine (internal/sim) queues events on a hand-rolled indexed 4-ary
-// min-heap over event structs — no interface boxing, no per-push
-// allocation — and offers arg-carrying scheduling forms (Schedule2,
-// Server.Use2, Segment.Send2, ...) whose callbacks are static func(any)
-// values. The request path in internal/core runs on pooled per-block
+// The engine (internal/sim) queues events on a radix heap over event time,
+// with intrusive FIFO bucket lists threaded through a recycled slot array —
+// no interface boxing, no per-push allocation — and offers arg-carrying
+// scheduling forms (Schedule2, Server.Use2, Segment.Send2, ...) whose
+// callbacks are static func(any) values. The request path in internal/core runs on pooled per-block
 // records recycled through host-local free lists, and cache entries
 // recycle through per-cache free lists with generation counters. Golden
 // checksum tests pin simulation output to the pre-refactor engine bit for

@@ -7,24 +7,51 @@
 // is modeled by Server, a single-server FIFO queue; pure delays (RAM access,
 // filer service time) use Schedule directly.
 //
+// # Event queue
+//
+// The queue is a radix heap over event time (Ahuja, Mehlhorn, Orlin and
+// Tarjan, JACM 1990), which applies because simulated time never runs
+// backwards. base is the last settled time, never after Now. An event at
+// time at lives in bucket bits.Len64(at^base) of 64: bucket 0 holds
+// exactly the events at base, and every event in bucket b > 0 is earlier
+// than every event in any higher bucket. Each bucket is a FIFO list
+// threaded through a pointer-free per-slot link array, with the callbacks
+// in a parallel slot array and each bucket's earliest time kept beside its
+// ends. When bucket 0 is empty, Step settles: the lowest non-empty
+// bucket's minimum becomes the new base and the bucket's events move, in
+// list order, into the buckets below it. Then Step runs the head of
+// bucket 0.
+//
+// Ties run in schedule order by construction, with no sequence counter.
+// Equal times always share a bucket. A push appends to its bucket's tail,
+// and a settle walks one bucket in order into lower buckets that are all
+// empty at that moment, so every bucket stays in schedule order and
+// bucket 0 pops in schedule order.
+//
+// Peeks (NextEventAt, RunUntil's stop test) read a bucket's minimum and
+// never move base: a caller may peek and then schedule an event between
+// Now and the peeked time, as a sharded run does when it injects barrier
+// deliveries. Only Step settles, and it runs the settled minimum at once,
+// so base never stays ahead of Now.
+//
 // # Allocation behavior
 //
-// The event queue is a hand-rolled indexed 4-ary min-heap laid out directly
-// over a slice of event structs: pushing an event is an append plus a
-// sift-up, with no interface boxing and no per-event allocation (the prior
-// implementation boxed every event into an `any` for container/heap). The
-// slice doubles as its own free list — popping shrinks the length but keeps
-// the backing array, so after the first Run phase reaches its high-water
-// mark, steady-state Schedule/Step cycles allocate nothing, across as many
+// Pushing an event takes a recycled slot from a free list threaded through
+// the same links; no event is boxed and nothing is allocated per push.
+// After the first Run phase reaches its high-water mark of pending events,
+// steady-state Schedule/Step cycles allocate nothing, across as many
 // Run/RunUntil phases as the caller interleaves.
 //
 // Hot callers that would otherwise allocate a closure per event can use the
 // arg-carrying forms (Schedule2, At2, ScheduleDaemon2): the callback is a
-// static func(any) and the argument rides inside the event struct. Passing
+// static func(any) and the argument rides in the event's slot. Passing
 // a pointer (or any pointer-shaped value) as the argument does not allocate.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is a simulated timestamp or duration in nanoseconds.
 type Time int64
@@ -48,17 +75,28 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // Seconds returns the time as a float64 number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// event is one scheduled callback. Exactly one of fn and afn is non-nil:
-// fn is the closure form, afn the arg-carrying form whose argument is
-// stored inline in the event.
-type event struct {
+// link is one queue slot's pointer-free half: the event's time, the next
+// slot in its bucket's FIFO list (or in the free list once the slot is
+// recycled), and the daemon flag, which fits in the padding. A list's
+// last next is stale: walks stop at the bucket's tail, and the free list
+// is as long as the slots outnumber the pending events.
+type link struct {
 	at     Time
-	seq    uint64
-	fn     func()
-	afn    func(any)
-	arg    any
+	next   int32
 	daemon bool
 }
+
+// payload is one queue slot's callback half, kept apart from the links so
+// that settling a bucket walks only pointer-free memory. The closure form
+// rides as the argument of callClosure, so one call shape serves both.
+type payload struct {
+	fn  func(any)
+	arg any
+}
+
+// callClosure runs a closure-form event: its func() is the argument. A
+// func value is pointer-shaped, so storing it in an any does not allocate.
+func callClosure(a any) { a.(func())() }
 
 // noop is the shared placeholder completion scheduled when a caller has no
 // callback of its own but the engine must still see a drain-blocking event.
@@ -69,63 +107,26 @@ func noop() {}
 // (a drained engine means idle hardware) and nothing is allocated.
 func noopArg(any) {}
 
-// eventHeap is an implicit (array-indexed) 4-ary min-heap ordered by
-// (at, seq): children of slot i live at 4i+1..4i+4. The 4-ary layout
-// halves tree depth versus a binary heap, trading a wider (branch-light,
-// cache-local) min-of-children scan on the way down for fewer levels —
-// the classic d-ary win for push-heavy workloads like a simulator, where
-// every push bubbles up but many pops terminate high.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (h eventHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if h.less(c, min) {
-				min = c
-			}
-		}
-		if !h.less(min, i) {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-}
-
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
-	now       Time
-	last      Time
-	seq       uint64
-	events    eventHeap
+	now  Time
+	last Time
+
+	// The event queue: a radix heap over event time (see the package
+	// comment). An event at time at lives in bucket bits.Len64(at^base);
+	// bit b of mask is set when bucket b is non-empty, and then head[b]
+	// and tail[b] are the ends of its FIFO list and min[b] its earliest
+	// time. links and slots are parallel per-slot arrays; the
+	// len(links)-pending free slots form a list from free.
+	base       Time
+	mask       uint64
+	head, tail [64]int32
+	min        [64]Time
+	links      []link
+	slots      []payload
+	free       int32
+	pending    int
+
 	processed uint64
 	nonDaemon int
 }
@@ -137,7 +138,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of scheduled, not-yet-run events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.pending }
 
 // NonDaemonPending returns the number of scheduled non-daemon events. A
 // zero count with Pending() > 0 means only background daemons (ticker
@@ -147,12 +148,17 @@ func (e *Engine) NonDaemonPending() int { return e.nonDaemon }
 
 // NextEventAt returns the timestamp of the earliest scheduled event, or
 // false when the queue is empty. Sharded runs use it to bound how far a
-// quiet shard may be fast-forwarded.
+// quiet shard may be fast-forwarded. It is a pure peek: it never moves the
+// queue's base, so the caller may still schedule events between Now and
+// the returned time.
 func (e *Engine) NextEventAt() (Time, bool) {
-	if len(e.events) == 0 {
+	if e.mask == 0 {
 		return 0, false
 	}
-	return e.events[0].at, true
+	if e.mask&1 != 0 {
+		return e.base, true
+	}
+	return e.min[bits.TrailingZeros64(e.mask)], true
 }
 
 // LastEventAt returns the timestamp of the most recently executed event.
@@ -186,7 +192,7 @@ func (e *Engine) ScheduleDaemon(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	e.at(e.now+d, fn, true)
+	e.push(e.now+d, callClosure, fn, true)
 }
 
 // ScheduleDaemon2 is the arg-carrying form of ScheduleDaemon.
@@ -199,7 +205,7 @@ func (e *Engine) ScheduleDaemon2(d Time, fn func(any), arg any) {
 
 // At runs fn at absolute time t, which must not be before Now.
 func (e *Engine) At(t Time, fn func()) {
-	e.at(t, fn, false)
+	e.push(t, callClosure, fn, false)
 }
 
 // At2 is the arg-carrying form of At.
@@ -207,61 +213,109 @@ func (e *Engine) At2(t Time, fn func(any), arg any) {
 	e.at2(t, fn, arg, false)
 }
 
-func (e *Engine) at(t Time, fn func(), daemon bool) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
-	e.seq++
-	if !daemon {
-		e.nonDaemon++
-	}
-	e.events = append(e.events, event{at: t, seq: e.seq, fn: fn, daemon: daemon})
-	e.events.siftUp(len(e.events) - 1)
-}
-
 func (e *Engine) at2(t Time, fn func(any), arg any, daemon bool) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
 	if fn == nil {
 		// One shared placeholder serves every callback-less event; callers
 		// need no nil guards of their own.
 		fn, arg = noopArg, nil
 	}
-	e.seq++
+	e.push(t, fn, arg, daemon)
+}
+
+// push enqueues fn(arg) at time t: it takes a free slot (or grows the
+// slot arrays) and appends the slot to the tail of t's bucket.
+func (e *Engine) push(t Time, fn func(any), arg any, daemon bool) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+	}
+	var i int32
+	if e.pending < len(e.links) {
+		i = e.free
+		e.free = e.links[i].next
+	} else {
+		i = int32(len(e.links))
+		e.links = append(e.links, link{})
+		e.slots = append(e.slots, payload{})
+	}
+	e.pending++
 	if !daemon {
 		e.nonDaemon++
 	}
-	e.events = append(e.events, event{at: t, seq: e.seq, afn: fn, arg: arg, daemon: daemon})
-	e.events.siftUp(len(e.events) - 1)
+	e.links[i] = link{at: t, daemon: daemon}
+	e.slots[i] = payload{fn: fn, arg: arg}
+	e.append(bits.Len64(uint64(t^e.base)), i, t)
+}
+
+// append links slot i, holding an event at t, onto the tail of bucket b.
+func (e *Engine) append(b int, i int32, t Time) {
+	if e.mask&(1<<b) == 0 {
+		e.mask |= 1 << b
+		e.head[b] = i
+		e.min[b] = t
+	} else {
+		e.links[e.tail[b]].next = i
+		if t < e.min[b] {
+			e.min[b] = t
+		}
+	}
+	e.tail[b] = i
+}
+
+// settle makes the minimum of bucket b (the lowest non-empty bucket) the
+// new base and relinks b's events, in list order, into the buckets below
+// it — all empty, so each keeps schedule order. Afterwards bucket 0 holds
+// exactly the events at the new base.
+func (e *Engine) settle(b int) {
+	m := e.min[b]
+	e.base = m
+	e.mask &^= 1 << b
+	i, last := e.head[b], e.tail[b]
+	if i == last {
+		// A lone event is the minimum: it moves straight to bucket 0.
+		e.mask |= 1
+		e.head[0], e.tail[0], e.min[0] = i, i, m
+		return
+	}
+	for {
+		at, next := e.links[i].at, e.links[i].next
+		e.append(bits.Len64(uint64(at^m)), i, at)
+		if i == last {
+			return
+		}
+		i = next
+	}
 }
 
 // Step runs the next event, advancing the clock. It returns false when no
 // events remain.
 func (e *Engine) Step() bool {
-	h := e.events
-	if len(h) == 0 {
-		return false
+	if e.mask&1 == 0 {
+		if e.mask == 0 {
+			return false
+		}
+		e.settle(bits.TrailingZeros64(e.mask))
 	}
-	ev := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // clear callback and arg references for the GC
-	e.events = h[:n]
-	if n > 0 {
-		e.events.siftDown(0)
+	// Run the head of bucket 0, the earliest event, and recycle its slot.
+	i := e.head[0]
+	l := &e.links[i]
+	if i == e.tail[0] {
+		e.mask &^= 1
+	} else {
+		e.head[0] = l.next
 	}
-	e.now = ev.at
-	e.last = ev.at
+	daemon := l.daemon
+	l.next = e.free
+	e.free = i
+	p := e.slots[i]
+	e.slots[i] = payload{} // drop callback and arg references for the GC
+	e.pending--
+	e.now = e.base
+	e.last = e.base
 	e.processed++
-	if !ev.daemon {
+	if !daemon {
 		e.nonDaemon--
 	}
-	if ev.afn != nil {
-		ev.afn(ev.arg)
-	} else {
-		ev.fn()
-	}
+	p.fn(p.arg)
 	return true
 }
 
@@ -280,7 +334,10 @@ func (e *Engine) RunAll() {
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.events) > 0 && e.events[0].at <= t {
+	for {
+		if at, ok := e.NextEventAt(); !ok || at > t {
+			break
+		}
 		e.Step()
 	}
 	if e.now < t {

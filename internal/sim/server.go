@@ -30,19 +30,6 @@ func (s *Server) Name() string { return s.name }
 // Use enqueues a request with the given service duration and calls done when
 // the request completes service. done may be nil.
 func (s *Server) Use(service Time, done func()) {
-	s.UseAt(s.eng.Now(), service, done)
-}
-
-// Use2 is the allocation-free form of Use: fn is a static func(any) run
-// with arg at completion.
-func (s *Server) Use2(service Time, fn func(any), arg any) {
-	s.UseAt2(s.eng.Now(), service, fn, arg)
-}
-
-// UseAt enqueues a request that arrived at the given time (not before now is
-// required of the completion, but arrival bookkeeping uses arrive).
-func (s *Server) UseAt(arrive, service Time, done func()) {
-	finish := s.admit(arrive, service)
 	if done == nil {
 		// Schedule the shared placeholder completion so Engine.Run does
 		// not return while the server is still busy; callers rely on a
@@ -50,18 +37,19 @@ func (s *Server) UseAt(arrive, service Time, done func()) {
 		// serves every such request — nothing is allocated per call.
 		done = noop
 	}
-	s.eng.At(finish, done)
+	s.eng.At(s.admit(service), done)
 }
 
-// UseAt2 is the arg-carrying form of UseAt. A nil fn schedules the shared
-// placeholder completion, like a nil done in UseAt.
-func (s *Server) UseAt2(arrive, service Time, fn func(any), arg any) {
-	s.eng.At2(s.admit(arrive, service), fn, arg)
+// Use2 is the allocation-free form of Use: fn is a static func(any) run
+// with arg at completion. A nil fn schedules the shared placeholder
+// completion, like a nil done in Use.
+func (s *Server) Use2(service Time, fn func(any), arg any) {
+	s.eng.At2(s.admit(service), fn, arg)
 }
 
-// admit performs the FIFO bookkeeping shared by all Use forms and returns
-// the request's completion time.
-func (s *Server) admit(arrive, service Time) Time {
+// admit performs the FIFO bookkeeping shared by both Use forms for a
+// request arriving now and returns its completion time.
+func (s *Server) admit(service Time) Time {
 	if service < 0 {
 		panic("sim: negative service time")
 	}
@@ -73,9 +61,7 @@ func (s *Server) admit(arrive, service Time) Time {
 	finish := start + service
 	s.freeAt = finish
 	s.busy += service
-	if start > arrive {
-		s.waited += start - arrive
-	}
+	s.waited += start - now
 	s.requests++
 	return finish
 }

@@ -137,6 +137,14 @@ func TestHeapOrderingProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+
+	// Model (queue_test.go): seeded random interleavings of every
+	// scheduling form, Step, RunUntil with peek-then-inject, Run and
+	// same-time bursts run in exactly the reference's (time, schedule
+	// order), with every observable matching after each operation.
+	for seed := int64(1); seed <= 200; seed++ {
+		runModel(t, seed, 400)
+	}
 }
 
 func TestServerSerializes(t *testing.T) {
