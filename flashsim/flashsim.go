@@ -573,7 +573,8 @@ func RunTrace(cfg Config, src trace.Source, warmupBlocks int64) (*Result, error)
 
 // simulation bundles the engine-level objects of one run: the engine, the
 // shared filer, the optional consistency registry, the hosts and the trace
-// driver. It is the common substrate of runTrace and RunScenario.
+// driver. Only runTrace's sequential path builds one; scenarios and
+// sharded runs execute on core.Cluster.
 type simulation struct {
 	eng   *sim.Engine
 	fsrv  *filer.Filer

@@ -11,7 +11,6 @@ type BlockCache interface {
 	Capacity() int
 	Len() int
 	DirtyLen() int
-	Medium() Medium
 
 	Get(key Key) *Entry
 	Peek(key Key) *Entry
@@ -45,6 +44,7 @@ var (
 	_ BlockCache = (*Clock)(nil)
 	_ BlockCache = (*SLRU)(nil)
 	_ BlockCache = (*TwoQ)(nil)
+	_ BlockCache = (*Unified)(nil)
 )
 
 // ReplacementKind names a replacement policy.

@@ -28,9 +28,6 @@ func NewSLRU(capacity int, m Medium) *SLRU {
 	return s
 }
 
-// Medium implements BlockCache.
-func (s *SLRU) Medium() Medium { return s.medium }
-
 // ProtectedLen reports the protected segment's population (for tests).
 func (s *SLRU) ProtectedLen() int { return s.protected.len }
 

@@ -39,9 +39,6 @@ func NewTwoQ(capacity int, m Medium) *TwoQ {
 	return q
 }
 
-// Medium implements BlockCache.
-func (q *TwoQ) Medium() Medium { return q.medium }
-
 // A1inLen and GhostLen report internal queue sizes (for tests).
 func (q *TwoQ) A1inLen() int  { return q.a1in.len }
 func (q *TwoQ) GhostLen() int { return q.ghosts.len }

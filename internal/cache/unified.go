@@ -59,6 +59,9 @@ func (u *Unified) Get(key Key) *Entry {
 	return e
 }
 
+// Touch promotes e to MRU without counting a hit.
+func (u *Unified) Touch(e *Entry) { u.tab.moveToFront(&u.lru, e) }
+
 // Victim returns the least recently used unpinned entry, or nil.
 func (u *Unified) Victim() *Entry { return u.tab.lastUnpinned(&u.lru) }
 

@@ -128,6 +128,19 @@ func TestUnifiedEvictionLRUOrder(t *testing.T) {
 	}
 }
 
+// Touch promotes like a hit but leaves the hit counters alone.
+func TestUnifiedTouch(t *testing.T) {
+	u := NewUnified(1, 2)
+	fillUnified(u, 3)
+	u.Touch(u.Peek(0))
+	if v := u.Victim(); v.Key() != 1 {
+		t.Fatalf("victim = %d, want 1", v.Key())
+	}
+	if ram, flash := u.HitsByMedium(); ram+flash != 0 || u.Hits() != 0 {
+		t.Fatalf("touch counted hits: ram %d flash %d total %d", ram, flash, u.Hits())
+	}
+}
+
 func TestUnifiedPinnedSkipped(t *testing.T) {
 	u := NewUnified(1, 1)
 	e0 := u.Insert(0)

@@ -164,7 +164,7 @@ func TestProtocolAcquireWriteOwnership(t *testing.T) {
 
 	b.put(9)
 	done := false
-	r.AcquireWrite(0, 9, func() { done = true })
+	r.AcquireWrite(0, 9, func(any) { done = true }, nil)
 	if !done {
 		t.Fatal("acquire never completed")
 	}
@@ -185,7 +185,7 @@ func TestProtocolAcquireWriteOwnership(t *testing.T) {
 	// Second write to the owned block is silent.
 	before := r.ControlMessages()
 	done = false
-	r.AcquireWrite(0, 9, func() { done = true })
+	r.AcquireWrite(0, 9, func(any) { done = true }, nil)
 	if !done || r.ControlMessages() != before {
 		t.Fatal("owned write was not silent")
 	}
@@ -201,13 +201,13 @@ func TestProtocolAcquireReadDowngrade(t *testing.T) {
 	r.SetCollect(true)
 
 	// Host 0 takes ownership and dirties the block.
-	r.AcquireWrite(0, 5, func() {})
+	r.AcquireWrite(0, 5, func(any) {}, nil)
 	a.put(5)
 	a.dirty[5] = true
 
 	// Host 1 reads: owner must flush and downgrade.
 	done := false
-	r.AcquireRead(1, 5, func() { done = true })
+	r.AcquireRead(1, 5, func(any) { done = true }, nil)
 	if !done {
 		t.Fatal("read acquire never completed")
 	}
@@ -219,12 +219,14 @@ func TestProtocolAcquireReadDowngrade(t *testing.T) {
 	}
 	// Subsequent reads are free (block now shared).
 	before := r.ControlMessages()
-	r.AcquireRead(1, 5, func() {})
+	r.AcquireRead(1, 5, func(any) {}, nil)
 	if r.ControlMessages() != before {
 		t.Fatal("shared read cost messages")
 	}
 }
 
+// Hosts acquire through their per-host Port; in instant mode both
+// acquisitions complete synchronously with the caller's argument.
 func TestProtocolInstantModeFree(t *testing.T) {
 	r := NewRegistry()
 	a := newFakePeer(0)
@@ -234,7 +236,8 @@ func TestProtocolInstantModeFree(t *testing.T) {
 	r.SetCollect(true)
 	b.put(3)
 	done := false
-	r.AcquireWrite(0, 3, func() { done = true })
+	set := func(arg any) { *arg.(*bool) = true }
+	r.Port(0).AcquireWrite(3, set, &done)
 	if !done {
 		t.Fatal("instant acquire blocked")
 	}
@@ -244,7 +247,11 @@ func TestProtocolInstantModeFree(t *testing.T) {
 	if r.ControlMessages() != 0 || a.controls != 0 {
 		t.Fatal("instant mode sent messages")
 	}
-	r.AcquireRead(1, 3, func() { done = true })
+	done = false
+	r.Port(1).AcquireRead(3, set, &done)
+	if !done {
+		t.Fatal("instant read acquire blocked")
+	}
 	if r.Downgrades() != 0 {
 		t.Fatal("instant mode downgraded")
 	}

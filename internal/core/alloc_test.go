@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -66,6 +67,40 @@ func TestWarmRAMHitAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm RAM read hit allocated %v per run, want 0", allocs)
+	}
+}
+
+// Consistency routing must not cost an allocation per request: hosts
+// sharing an instant-mode registry serve a warm RAM-hit read and a write
+// to a resident block without allocating, like a host without one.
+func TestRegistryRoutedRequestAllocationFree(t *testing.T) {
+	eng, hosts, reg := buildCluster(t, 2, baseCfg(Naive), testTiming(), true)
+	reg.SetCollect(true)
+	for _, h := range hosts {
+		h.SetCollect(true)
+	}
+	// Warm: host 0 holds block 1, host 1 holds block 2; each block has a
+	// single holder, so a write finds one to skip and none to drop.
+	hosts[0].Write(1, nil)
+	hosts[1].Read(2, nil)
+	eng.RunUntil(100 * sim.Millisecond)
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"RAM-hit read", func() { hosts[1].Read(2, nil) }},
+		{"resident-block write", func() { hosts[0].Write(1, nil) }},
+	} {
+		allocs := testing.AllocsPerRun(2000, func() {
+			tc.op()
+			eng.RunUntil(eng.Now() + sim.Millisecond)
+		})
+		if allocs != 0 {
+			t.Errorf("registry-routed %s allocated %v per run, want 0", tc.name, allocs)
+		}
+	}
+	if reg.BlocksWritten() == 0 {
+		t.Fatal("writes bypassed the registry")
 	}
 }
 

@@ -12,20 +12,12 @@ import (
 // scenario runner guarantees by executing events only at phase boundaries
 // after running the engine dry.
 
-// clearable is the least common denominator of every cache tier for bulk
-// clearing (the unified cache is not a cache.BlockCache).
-type clearable interface {
-	Len() int
-	Victim() *cache.Entry
-	Remove(e *cache.Entry)
-}
-
 // clearAll removes every resident entry without writing anything back.
 // Dirty entries are simply dropped — data loss is the caller's story.
 // Victim never returns pinned entries, so any that remain are left
 // resident; on the quiescent hosts these hooks are defined for, nothing
 // is pinned.
-func clearAll(c clearable) int {
+func clearAll(c cache.BlockCache) int {
 	n := 0
 	for c.Len() > 0 {
 		v := c.Victim()
@@ -41,18 +33,20 @@ func clearAll(c clearable) int {
 // DirtyBlocks returns the number of dirty resident blocks across the
 // host's cache tiers; it is the scenario telemetry probe's dirty signal.
 func (h *Host) DirtyBlocks() int {
-	if h.uni != nil {
-		return h.uni.DirtyLen()
+	n := 0
+	for _, c := range h.tiers {
+		n += c.DirtyLen()
 	}
-	return h.ram.DirtyLen() + h.flash.DirtyLen()
+	return n
 }
 
 // ResidentBlocks returns the number of resident blocks across tiers.
 func (h *Host) ResidentBlocks() int {
-	if h.uni != nil {
-		return h.uni.Len()
+	n := 0
+	for _, c := range h.tiers {
+		n += c.Len()
 	}
-	return h.ram.Len() + h.flash.Len()
+	return n
 }
 
 // Crash models a power failure at a quiescent instant. RAM contents —
@@ -62,12 +56,11 @@ func (h *Host) ResidentBlocks() int {
 // cannot be recoverable (its RAM half dies with the host), so it always
 // loses everything. Returns the number of blocks dropped.
 func (h *Host) Crash() int {
-	if h.uni != nil {
-		return clearAll(h.uni)
-	}
-	dropped := clearAll(h.ram)
-	if !h.cfg.PersistentFlash {
-		dropped += clearAll(h.flash)
+	dropped := 0
+	for t, c := range h.tiers {
+		if tier(t) != tierFlash || !h.cfg.PersistentFlash {
+			dropped += clearAll(c)
+		}
 	}
 	return dropped
 }
@@ -84,35 +77,33 @@ func (h *Host) Crash() int {
 // data just landed in flash.
 func (h *Host) Flush(fraction float64, done func()) int {
 	dirty := h.DirtyBlocks()
-	finish := func() {
+	h.flushFrom(0, func() {
 		h.DropColdest(fraction)
 		if done != nil {
 			done()
 		}
-	}
-	if h.uni != nil {
-		h.flushTier(h.uni.AppendDirty, tierUnified, moveToFiler, finish)
-		return dirty
-	}
-	h.flushTier(h.ram.AppendDirty, tierRAM, h.ramMove(), func() {
-		h.flushTier(h.flash.AppendDirty, tierFlash, moveToFiler, finish)
 	})
 	return dirty
 }
 
-// flushTier writes back one tier's current dirty set and calls next when
-// every writeback is durable below. Entries already mid-writeback are
-// skipped — their in-flight propagation covers them.
-func (h *Host) flushTier(appendDirty func([]*cache.Entry) []*cache.Entry,
-	t tier, mv moveKind, next func()) {
-	h.dirtyScratch = appendDirty(h.dirtyScratch[:0])
+// flushFrom writes back tier t's current dirty set along the tier's mover
+// and, once every writeback is durable below, the tiers under it in turn;
+// done runs after the last. Entries already mid-writeback are skipped —
+// their in-flight propagation covers them.
+func (h *Host) flushFrom(t tier, done func()) {
+	if int(t) == len(h.tiers) {
+		done()
+		return
+	}
+	h.dirtyScratch = h.tiers[t].AppendDirty(h.dirtyScratch[:0])
 	n := 0
 	for _, e := range h.dirtyScratch {
 		if !e.WritebackInFlight && !e.Pinned {
 			n++
 		}
 	}
-	join := sim.NewJoin(n, next)
+	join := sim.NewJoin(n, func() { h.flushFrom(t+1, done) })
+	mv := h.mover(t)
 	for _, e := range h.dirtyScratch {
 		if e.WritebackInFlight || e.Pinned {
 			continue
@@ -122,15 +113,17 @@ func (h *Host) flushTier(appendDirty func([]*cache.Entry) []*cache.Entry,
 }
 
 // DropColdest removes the coldest fraction of each tier's resident blocks
-// (clean removal; callers flush first if the dirty data matters). Flash
-// drops shoot down clean RAM copies so the naive architecture's RAM ⊆
-// flash property survives. Returns the number of blocks dropped.
+// (clean removal; callers flush first if the dirty data matters), bottom
+// tier first. Flash drops shoot down clean RAM copies so the naive
+// architecture's RAM ⊆ flash property survives. Returns the number of
+// blocks dropped.
 func (h *Host) DropColdest(fraction float64) int {
 	if fraction <= 0 {
 		return 0
 	}
 	dropped := 0
-	dropFrom := func(c clearable, shootdown bool) {
+	for t := len(h.tiers) - 1; t >= 0; t-- {
+		c := h.tiers[t]
 		target := int(fraction * float64(c.Len()))
 		if fraction >= 1 {
 			target = c.Len()
@@ -138,21 +131,11 @@ func (h *Host) DropColdest(fraction float64) int {
 		for i := 0; i < target; i++ {
 			v := c.Victim()
 			if v == nil {
-				return
+				break
 			}
-			key := v.Key()
-			c.Remove(v)
-			if shootdown {
-				h.shootdownRAMSubset(key)
-			}
+			h.evict(tier(t), v)
 			dropped++
 		}
 	}
-	if h.uni != nil {
-		dropFrom(h.uni, false)
-		return dropped
-	}
-	dropFrom(h.flash, true)
-	dropFrom(h.ram, false)
 	return dropped
 }

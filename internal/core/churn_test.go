@@ -48,18 +48,18 @@ func TestCrashPersistentKeepsFlash(t *testing.T) {
 	cfg.RAMPolicy = PolicySync
 	r := newRig(t, cfg, testTiming())
 	dirtyUp(r, 6)
-	flashResident := r.host.flash.Len()
-	flashDirty := r.host.flash.DirtyLen()
+	flashResident := r.host.tiers[tierFlash].Len()
+	flashDirty := r.host.tiers[tierFlash].DirtyLen()
 	if flashResident == 0 || flashDirty == 0 {
 		t.Fatal("setup left flash empty/clean")
 	}
 	r.host.Crash()
-	if r.host.ram.Len() != 0 {
+	if r.host.tiers[tierRAM].Len() != 0 {
 		t.Fatal("RAM survived the crash")
 	}
-	if r.host.flash.Len() != flashResident || r.host.flash.DirtyLen() != flashDirty {
+	if r.host.tiers[tierFlash].Len() != flashResident || r.host.tiers[tierFlash].DirtyLen() != flashDirty {
 		t.Fatalf("persistent flash changed: %d/%d resident, %d/%d dirty",
-			r.host.flash.Len(), flashResident, r.host.flash.DirtyLen(), flashDirty)
+			r.host.tiers[tierFlash].Len(), flashResident, r.host.tiers[tierFlash].DirtyLen(), flashDirty)
 	}
 	// The surviving dirty blocks recover through the existing path.
 	done := false
@@ -68,7 +68,7 @@ func TestCrashPersistentKeepsFlash(t *testing.T) {
 	if !done || flushed != flashDirty {
 		t.Fatalf("recovery flushed %d (done=%v), want %d", flushed, done, flashDirty)
 	}
-	if r.host.flash.DirtyLen() != 0 {
+	if r.host.tiers[tierFlash].DirtyLen() != 0 {
 		t.Fatal("dirty blocks remain after recovery")
 	}
 }
@@ -111,9 +111,9 @@ func TestFlushPartialDropKeepsSubsetInvariant(t *testing.T) {
 		t.Fatal("partial flush emptied the caches")
 	}
 	// Every clean RAM block must still be backed by flash (naive subset).
-	for _, key := range r.host.ram.Keys(nil) {
-		e := r.host.ram.Peek(key)
-		if e != nil && !e.Dirty && r.host.flash.Peek(key) == nil {
+	for _, key := range r.host.tiers[tierRAM].Keys(nil) {
+		e := r.host.tiers[tierRAM].Peek(key)
+		if e != nil && !e.Dirty && r.host.tiers[tierFlash].Peek(key) == nil {
 			t.Fatalf("clean RAM block %d has no flash backing after drop", key)
 		}
 	}

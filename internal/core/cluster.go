@@ -115,17 +115,27 @@ func (p *clusterPort) Write2(key uint64, fn func(any), arg any) {
 		filerMsg{at: p.sh.eng.Now(), host: p.host, seq: p.seq, part: part, key: key, write: true, fn: fn, arg: arg})
 }
 
-// clusterSink is the per-host InvalidationSink of a sharded run.
+// clusterSink is the per-host ConsistencyPort of a sharded run under the
+// paper's instant model: reads proceed at once, and a write records
+// (writer, key) for the barrier's invalidation exchange, then proceeds —
+// remote copies drop at the next epoch barrier instead of this very
+// instant. The write's invalidation statistics are gated by the host's
+// collect flag at write time, like Registry.SetCollect.
 type clusterSink struct {
-	sh   *clusterShard
-	host int32
-	seq  uint64
+	sh  *clusterShard
+	h   *Host
+	seq uint64
 }
 
-func (s *clusterSink) BlockWritten(host int, key uint64, collecting bool) {
+// AcquireRead implements ConsistencyPort.
+func (s *clusterSink) AcquireRead(_ uint64, fn func(any), arg any) { fn(arg) }
+
+// AcquireWrite implements ConsistencyPort.
+func (s *clusterSink) AcquireWrite(key uint64, fn func(any), arg any) {
 	s.seq++
 	s.sh.outInv = append(s.sh.outInv,
-		invMsg{at: s.sh.eng.Now(), writer: int32(host), seq: s.seq, key: key, collect: collecting})
+		invMsg{at: s.sh.eng.Now(), writer: int32(s.h.cfg.ID), seq: s.seq, key: key, collect: s.h.collect})
+	fn(arg)
 }
 
 // clusterShard is one shard: a private engine plus the hosts and per-host
@@ -537,7 +547,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 			c.protoPorts[i] = p
 			h.SetConsistencyPort(p)
 		} else if c.track {
-			h.SetInvalidationSink(&clusterSink{sh: sh, host: int32(i)})
+			h.SetConsistencyPort(&clusterSink{sh: sh, h: h})
 		}
 		if c.proto != nil || c.track {
 			// Hosts join their shard in ascending ID order, so local

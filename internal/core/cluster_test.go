@@ -167,24 +167,6 @@ func TestClusterProtocolInvariance(t *testing.T) {
 	}
 }
 
-// TestClusterProtocolExclusivePortPanics locks the mutual exclusion of the
-// consistency hooks: a host cannot carry both an invalidation sink and a
-// protocol port.
-func TestClusterProtocolExclusivePortPanics(t *testing.T) {
-	spec := clusterSpecForTest(2, 1)
-	spec.ConsistencyProtocol = true
-	c, err := NewCluster(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("setting an invalidation sink on a protocol host should panic")
-		}
-	}()
-	c.Hosts()[0].SetInvalidationSink(&clusterSink{})
-}
-
 // TestClusterSpecValidation covers the constructor's error paths.
 func TestClusterSpecValidation(t *testing.T) {
 	spec := clusterSpecForTest(2, 2)

@@ -206,7 +206,7 @@ func TestNaiveWriteLandsInRAM(t *testing.T) {
 	if lat := r.writeLat(1); lat != 2 {
 		t.Fatalf("write latency %v, want 2 (RAM write only)", lat)
 	}
-	e := r.host.ram.Peek(1)
+	e := r.host.tiers[tierRAM].Peek(1)
 	if e == nil || !e.Dirty {
 		t.Fatal("written block not dirty in RAM")
 	}
@@ -221,10 +221,10 @@ func TestSyncRAMPolicyBlocksToFlash(t *testing.T) {
 	if lat := r.writeLat(1); lat != 22 {
 		t.Fatalf("sync-to-flash write latency %v, want 22", lat)
 	}
-	if e := r.host.flash.Peek(1); e == nil || !e.Dirty {
+	if e := r.host.tiers[tierFlash].Peek(1); e == nil || !e.Dirty {
 		t.Fatal("block not dirty in flash after sync writeback")
 	}
-	if e := r.host.ram.Peek(1); e == nil || e.Dirty {
+	if e := r.host.tiers[tierRAM].Peek(1); e == nil || e.Dirty {
 		t.Fatal("RAM copy should be clean after write-through")
 	}
 }
@@ -239,7 +239,7 @@ func TestSyncSyncPolicyBlocksToFiler(t *testing.T) {
 	if lat := r.writeLat(1); lat != 722 {
 		t.Fatalf("fully synchronous write latency %v, want 722", lat)
 	}
-	if e := r.host.flash.Peek(1); e == nil || e.Dirty {
+	if e := r.host.tiers[tierFlash].Peek(1); e == nil || e.Dirty {
 		t.Fatal("flash copy should be clean after write-through to filer")
 	}
 }
@@ -253,7 +253,7 @@ func TestAsyncPolicyDoesNotBlock(t *testing.T) {
 		t.Fatalf("async write latency %v, want 2", lat)
 	}
 	// After the engine drains, the data has still propagated all the way.
-	if e := r.host.flash.Peek(1); e == nil || e.Dirty {
+	if e := r.host.tiers[tierFlash].Peek(1); e == nil || e.Dirty {
 		t.Fatal("async writeback did not reach the filer")
 	}
 	if r.host.Stats().FilerWritebacks != 1 {
@@ -268,14 +268,14 @@ func TestPeriodicSyncerFlushes(t *testing.T) {
 	r := newRig(t, cfg, testTiming())
 	r.host.Write(1, nil)
 	r.eng.RunUntil(5000)
-	if e := r.host.ram.Peek(1); e == nil || !e.Dirty {
+	if e := r.host.tiers[tierRAM].Peek(1); e == nil || !e.Dirty {
 		t.Fatal("block should still be dirty before syncer fires")
 	}
 	r.eng.RunUntil(20000)
-	if e := r.host.ram.Peek(1); e == nil || e.Dirty {
+	if e := r.host.tiers[tierRAM].Peek(1); e == nil || e.Dirty {
 		t.Fatal("syncer did not flush dirty RAM block")
 	}
-	if e := r.host.flash.Peek(1); e == nil || !e.Dirty {
+	if e := r.host.tiers[tierFlash].Peek(1); e == nil || !e.Dirty {
 		t.Fatal("flushed block should be dirty in flash (flash policy none)")
 	}
 	r.host.StopSyncers()
@@ -338,10 +338,10 @@ func TestLookasideFlashNeverDirty(t *testing.T) {
 	if lat := r.writeLat(1); lat != 702 {
 		t.Fatalf("lookaside sync write latency %v, want 702", lat)
 	}
-	if r.host.flash.DirtyLen() != 0 {
+	if r.host.tiers[tierFlash].DirtyLen() != 0 {
 		t.Fatal("lookaside flash holds dirty data")
 	}
-	if e := r.host.flash.Peek(1); e == nil {
+	if e := r.host.tiers[tierFlash].Peek(1); e == nil {
 		t.Fatal("flash copy not installed after filer write")
 	}
 }
@@ -354,7 +354,7 @@ func TestLookasideAsyncWrite(t *testing.T) {
 		t.Fatalf("lookaside async write latency %v, want 2", lat)
 	}
 	r.eng.Run()
-	if r.host.flash.DirtyLen() != 0 {
+	if r.host.tiers[tierFlash].DirtyLen() != 0 {
 		t.Fatal("lookaside flash dirty")
 	}
 	if r.host.Stats().FilerWritebacks != 1 {
@@ -380,12 +380,12 @@ func TestSubsetPropertyCleanRAMInFlash(t *testing.T) {
 	r.eng.Run()
 	// Every clean RAM block must also be in flash (paper §3.2/3.3: the
 	// RAM cache is a subset of the flash cache in naive and lookaside).
-	for _, key := range r.host.ram.Keys(nil) {
-		e := r.host.ram.Peek(key)
+	for _, key := range r.host.tiers[tierRAM].Keys(nil) {
+		e := r.host.tiers[tierRAM].Peek(key)
 		if e.Dirty {
 			continue
 		}
-		if r.host.flash.Peek(key) == nil {
+		if r.host.tiers[tierFlash].Peek(key) == nil {
 			t.Fatalf("clean RAM block %d not in flash", key)
 		}
 	}
@@ -399,7 +399,7 @@ func TestUnifiedMediumMix(t *testing.T) {
 	for k := cache.Key(0); k < 72; k++ {
 		r.readLat(k)
 	}
-	if got := r.host.uni.ResidentRAM(); got != 8 {
+	if got := r.host.tiers[tierUnified].(*cache.Unified).ResidentRAM(); got != 8 {
 		t.Fatalf("unified resident RAM %d, want 8", got)
 	}
 }
@@ -412,7 +412,7 @@ func TestUnifiedReadLatencyByMedium(t *testing.T) {
 	r.readLat(1)
 	r.readLat(2)
 	var ramKey, flashKey cache.Key = 1, 2
-	if r.host.uni.Peek(1).Medium() != cache.RAM {
+	if r.host.tiers[tierUnified].Peek(1).Medium() != cache.RAM {
 		ramKey, flashKey = 2, 1
 	}
 	if lat := r.readLat(ramKey); lat != 1 {
@@ -471,7 +471,7 @@ func TestZeroRAMWriteGoesToFlash(t *testing.T) {
 	if lat := r.writeLat(1); lat != 20 {
 		t.Fatalf("zero-RAM write %v, want 20 (flash write)", lat)
 	}
-	if e := r.host.flash.Peek(1); e == nil || !e.Dirty {
+	if e := r.host.tiers[tierFlash].Peek(1); e == nil || !e.Dirty {
 		t.Fatal("block not dirty in flash")
 	}
 	r.host.StopSyncers()
@@ -549,12 +549,12 @@ func TestInvalidationBetweenHosts(t *testing.T) {
 	if step != 1 {
 		t.Fatal("read never completed")
 	}
-	if hosts[0].flash.Peek(1) == nil {
+	if hosts[0].tiers[tierFlash].Peek(1) == nil {
 		t.Fatal("host 0 should cache block 1")
 	}
 	hosts[1].Write(1, nil)
 	eng.Run()
-	if hosts[0].flash.Peek(1) != nil || hosts[0].ram.Peek(1) != nil {
+	if hosts[0].tiers[tierFlash].Peek(1) != nil || hosts[0].tiers[tierRAM].Peek(1) != nil {
 		t.Fatal("host 0's stale copy not invalidated")
 	}
 	if reg.Invalidations() == 0 || reg.WritesInvalidating() != 1 {
@@ -586,7 +586,7 @@ func TestWriteCoalescingEpochs(t *testing.T) {
 	// The second write's own writeback eventually cleans it; what must
 	// never happen is data loss. Drain and verify the final state is
 	// clean (both writebacks completed, last epoch wins).
-	if e := r.host.ram.Peek(1); e == nil || e.Dirty {
+	if e := r.host.tiers[tierRAM].Peek(1); e == nil || e.Dirty {
 		t.Fatal("final state should be clean after both writebacks")
 	}
 	// Two writes => two write-through propagations to flash.

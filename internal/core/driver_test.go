@@ -193,20 +193,13 @@ func TestIntegrationConservation(t *testing.T) {
 				t.Fatalf("%s: latency sample counts wrong", name)
 			}
 			// Cache invariants hold after the run.
-			if arch == Unified {
-				if err := hosts[0].uni.CheckInvariants(); err != nil {
-					t.Fatalf("%s: %v", name, err)
+			for i, c := range hosts[0].tiers {
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatalf("%s: tier %d: %v", name, i, err)
 				}
-			} else {
-				if err := hosts[0].ram.CheckInvariants(); err != nil {
-					t.Fatalf("%s: ram: %v", name, err)
-				}
-				if err := hosts[0].flash.CheckInvariants(); err != nil {
-					t.Fatalf("%s: flash: %v", name, err)
-				}
-				if arch == Lookaside && hosts[0].flash.DirtyLen() != 0 {
-					t.Fatalf("%s: lookaside flash dirty after run", name)
-				}
+			}
+			if arch == Lookaside && hosts[0].tiers[tierFlash].DirtyLen() != 0 {
+				t.Fatalf("%s: lookaside flash dirty after run", name)
 			}
 		}
 	}
@@ -334,12 +327,12 @@ func TestUnifiedInvalidationAcrossHosts(t *testing.T) {
 	var done bool
 	hosts[0].Read(7, func() { done = true })
 	eng.Run()
-	if !done || hosts[0].uni.Peek(7) == nil {
+	if !done || hosts[0].tiers[tierUnified].Peek(7) == nil {
 		t.Fatal("host 0 did not cache the block")
 	}
 	hosts[1].Write(7, nil)
 	eng.Run()
-	if hosts[0].uni.Peek(7) != nil {
+	if hosts[0].tiers[tierUnified].Peek(7) != nil {
 		t.Fatal("unified stale copy survived a remote write")
 	}
 	if reg.Invalidations() != 1 {
@@ -415,16 +408,9 @@ func TestDriverRandomTracesProperty(t *testing.T) {
 			if st.FlashHits+st.FlashMisses != st.RAMMisses {
 				t.Fatalf("round %d: flash partition broken", round)
 			}
-			if h.uni != nil {
-				if err := h.uni.CheckInvariants(); err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-			} else {
-				if err := h.ram.CheckInvariants(); err != nil {
-					t.Fatalf("round %d: ram: %v", round, err)
-				}
-				if err := h.flash.CheckInvariants(); err != nil {
-					t.Fatalf("round %d: flash: %v", round, err)
+			for i, c := range h.tiers {
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatalf("round %d: tier %d: %v", round, i, err)
 				}
 			}
 		}

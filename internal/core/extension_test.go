@@ -47,10 +47,10 @@ func TestDelayedPolicyWritesBackAfterDelay(t *testing.T) {
 	}
 	// After the engine drained (writeLat ran everything, including the
 	// timer), the block must be clean in RAM and dirty in flash.
-	if e := r.host.ram.Peek(1); e == nil || e.Dirty {
+	if e := r.host.tiers[tierRAM].Peek(1); e == nil || e.Dirty {
 		t.Fatal("delayed writeback did not happen")
 	}
-	if e := r.host.flash.Peek(1); e == nil || !e.Dirty {
+	if e := r.host.tiers[tierFlash].Peek(1); e == nil || !e.Dirty {
 		t.Fatal("block not in flash after delayed writeback")
 	}
 }
@@ -71,7 +71,7 @@ func TestDelayedPolicyCoalesces(t *testing.T) {
 	if got := r.host.Stats().FlashWritebacks; got != 1 {
 		t.Fatalf("flash writebacks = %d, want 1 (coalesced)", got)
 	}
-	if e := r.host.ram.Peek(1); e == nil || e.Dirty {
+	if e := r.host.tiers[tierRAM].Peek(1); e == nil || e.Dirty {
 		t.Fatal("final state not clean")
 	}
 }
@@ -85,15 +85,15 @@ func TestTricklePolicyDrainsSlowly(t *testing.T) {
 		r.host.Write(k, nil)
 	}
 	r.eng.RunUntil(500)
-	if r.host.ram.DirtyLen() != 4 {
-		t.Fatalf("dirty before first tick = %d, want 4", r.host.ram.DirtyLen())
+	if r.host.tiers[tierRAM].DirtyLen() != 4 {
+		t.Fatalf("dirty before first tick = %d, want 4", r.host.tiers[tierRAM].DirtyLen())
 	}
 	r.eng.RunUntil(1100) // one tick
-	if got := r.host.ram.DirtyLen(); got != 3 {
+	if got := r.host.tiers[tierRAM].DirtyLen(); got != 3 {
 		t.Fatalf("dirty after one tick = %d, want 3", got)
 	}
 	r.eng.RunUntil(4500) // all four ticks
-	if got := r.host.ram.DirtyLen(); got != 0 {
+	if got := r.host.tiers[tierRAM].DirtyLen(); got != 0 {
 		t.Fatalf("dirty after four ticks = %d, want 0", got)
 	}
 	r.host.StopSyncers()
@@ -121,10 +121,10 @@ func TestFlashReplacementPolicies(t *testing.T) {
 		}
 		r.host.StopSyncers()
 		r.eng.Run()
-		if err := r.host.flash.CheckInvariants(); err != nil {
+		if err := r.host.tiers[tierFlash].CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if r.host.flash.Len() == 0 {
+		if r.host.tiers[tierFlash].Len() == 0 {
 			t.Fatalf("%s: flash empty after workload", kind)
 		}
 	}
@@ -141,7 +141,7 @@ func TestTrickleUnified(t *testing.T) {
 		r.host.Write(k, nil)
 	}
 	r.eng.RunUntil(20000)
-	if got := r.host.uni.DirtyLen(); got != 0 {
+	if got := r.host.tiers[tierUnified].DirtyLen(); got != 0 {
 		t.Fatalf("unified dirty after trickle draining = %d", got)
 	}
 	r.host.StopSyncers()
@@ -175,7 +175,7 @@ func TestFTLBackedHost(t *testing.T) {
 	if snap.WriteAmplification < 1 {
 		t.Fatalf("write amplification %v < 1", snap.WriteAmplification)
 	}
-	if err := r.host.flash.CheckInvariants(); err != nil {
+	if err := r.host.tiers[tierFlash].CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

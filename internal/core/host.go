@@ -18,8 +18,10 @@ import (
 // backend partition (and its tier state); it never affects fast/slow
 // draws, which come from one shared stream. In a sequential run the port
 // is the *filer.Filer itself; in a sharded run it is a per-host mailbox
-// that forwards the request to the epoch-barrier coordinator, which
-// services the filer in globally sorted arrival order (see Cluster).
+// (clusterPort) that forwards the request to the epoch-barrier
+// coordinator, which services the filer in globally sorted arrival order
+// (see Cluster). A host has exactly one FilerPort below its cache tiers
+// and at most one ConsistencyPort above them.
 type FilerPort interface {
 	// Read2 services a one-block read; fn(arg) runs after the drawn
 	// fast-or-slow (or object-tier) service latency.
@@ -28,24 +30,18 @@ type FilerPort interface {
 	Write2(key uint64, fn func(any), arg any)
 }
 
-// InvalidationSink observes block writes for cross-host invalidation in
-// sharded runs, replacing the consistency.Registry's instant global
-// knowledge: the sink records (writer, key) and the cluster drops remote
-// copies at the next epoch barrier.
-type InvalidationSink interface {
-	// BlockWritten is called when host commits a new version of key into
-	// its cache; collecting reports whether the host is past warmup, which
-	// gates the invalidation statistics exactly like Registry.SetCollect.
-	BlockWritten(host int, key uint64, collecting bool)
-}
-
-// ConsistencyPort routes a host's reads and writes through a sharded
-// callback consistency protocol (the Cluster analogue of
-// consistency.Registry in ModeCallback): a write acquires exclusive
-// ownership — paying control-message round trips through the epoch
-// barrier — before it may commit, and a read of a block exclusively owned
-// elsewhere forces a downgrade and dirty flush first. fn(arg) runs when
-// the operation may proceed.
+// ConsistencyPort is a host's route to the run's consistency model: every
+// read and write acquires through it, and fn(arg) runs when the operation
+// may proceed. Under the paper's instant model (§3.8) a write drops every
+// other copy for free and a read proceeds at once; under the callback
+// protocol a write first acquires exclusive ownership, paying control
+// message round trips, and a read of a block exclusively owned elsewhere
+// forces a downgrade and dirty flush first. In a sequential run the port
+// is the host's consistency.Port on the shared Registry (either mode); in
+// a sharded run it is a clusterSink (instant: the write is recorded and
+// remote copies drop at the next epoch barrier) or a clusterProtoPort
+// (callback: the round trips thread through the barrier). A host with no
+// port models no consistency.
 type ConsistencyPort interface {
 	AcquireRead(key uint64, fn func(any), arg any)
 	AcquireWrite(key uint64, fn func(any), arg any)
@@ -56,6 +52,12 @@ type ConsistencyPort interface {
 // segment. All block I/O enters through Read and Write; completions are
 // delivered by callback in simulated time.
 //
+// The paper's three architectures (§3.3) arrange the two media as one
+// ordered list of cache tiers: naive and lookaside hosts list a RAM tier
+// above a flash tier, a unified host a single cache mixing both. Eviction,
+// flushing, invalidation and residency are written once over that list;
+// only the read and write entry points differ by architecture.
+//
 // The request path is written in explicit continuation-passing style over
 // pooled hostReq records (see req.go): every asynchronous hand-off goes
 // through a static func(any) plus a recycled record, so a warm host serves
@@ -65,11 +67,10 @@ type Host struct {
 	cfg    HostConfig
 	timing Timing
 
-	// Layered architectures (naive, lookaside).
-	ram   *cache.LRU
-	flash cache.BlockCache
-	// Unified architecture.
-	uni *cache.Unified
+	// tiers lists the caches application-facing first, indexed by tier:
+	// tierRAM then tierFlash on a layered host, tierUnified alone on a
+	// unified one.
+	tiers []cache.BlockCache
 
 	ramDev  *blockdev.RAMDevice
 	flashIO FlashDev
@@ -83,9 +84,7 @@ type Host struct {
 	seg   *netsim.Segment
 	bgSeg *netsim.Segment
 	fsrv  FilerPort
-	reg   *consistency.Registry // nil when consistency is not modeled
-	inv   InvalidationSink      // nil outside sharded runs
-	cport ConsistencyPort       // nil outside sharded protocol runs
+	cport ConsistencyPort // nil when consistency is not modeled
 
 	// pending de-duplicates concurrent demand fetches of the same block:
 	// waiters are woken when the single fetch completes. Waiter slices
@@ -161,21 +160,20 @@ func NewHost(eng *sim.Engine, cfg HostConfig, timing Timing,
 		seg:     seg,
 		bgSeg:   bgSeg,
 		fsrv:    fsrv,
-		reg:     reg,
 		pending: make(map[cache.Key][]cont),
 	}
 	if cfg.Arch == Unified {
-		h.uni = cache.NewUnified(cfg.RAMBlocks, cfg.FlashBlocks)
+		h.tiers = []cache.BlockCache{cache.NewUnified(cfg.RAMBlocks, cfg.FlashBlocks)}
 	} else {
-		h.ram = cache.NewLRU(cfg.RAMBlocks, cache.RAM)
 		flash, err := cache.NewBlockCache(cfg.FlashReplacement, cfg.FlashBlocks, cache.Flash)
 		if err != nil {
 			return nil, err
 		}
-		h.flash = flash
+		h.tiers = []cache.BlockCache{cache.NewLRU(cfg.RAMBlocks, cache.RAM), flash}
 	}
 	if reg != nil {
 		h.setResidencyHook(reg.Register(h))
+		h.cport = reg.Port(cfg.ID)
 	}
 	h.startSyncers()
 	return h, nil
@@ -201,26 +199,21 @@ func (h *Host) Segment() *netsim.Segment { return h.seg }
 
 // setResidencyHook registers fn to observe any-tier residency
 // transitions: fn(key, true) when a block becomes resident in some cache
-// tier, fn(key, false) when the last copy leaves. For the layered
-// architectures a tier's own insert/remove only changes any-tier
-// residency when the sibling tier has no copy, hence the Peek guards.
-// The consistency registry and the cluster shards install the hook at
-// construction to feed their consistency.HolderIndex.
+// tier, fn(key, false) when the last copy leaves. A tier's own insert or
+// remove changes any-tier residency only when no other tier holds a copy,
+// hence the Peek guards. The consistency registry and the cluster shards
+// install the hook at construction to feed their consistency.HolderIndex.
 func (h *Host) setResidencyHook(fn func(key uint64, held bool)) {
-	if h.uni != nil {
-		h.uni.SetResidencyHook(func(k cache.Key, added bool) { fn(uint64(k), added) })
-		return
+	for t, c := range h.tiers {
+		c.SetResidencyHook(func(k cache.Key, added bool) {
+			for s, o := range h.tiers {
+				if s != t && o.Peek(k) != nil {
+					return
+				}
+			}
+			fn(uint64(k), added)
+		})
 	}
-	h.ram.SetResidencyHook(func(k cache.Key, added bool) {
-		if h.flash.Peek(k) == nil {
-			fn(uint64(k), added)
-		}
-	})
-	h.flash.SetResidencyHook(func(k cache.Key, added bool) {
-		if h.ram.Peek(k) == nil {
-			fn(uint64(k), added)
-		}
-	})
 }
 
 // setUpCounter attaches the shard's in-flight up-packet counter; every
@@ -265,33 +258,10 @@ func (h *Host) SetCollect(on bool) { h.collect = on }
 // Collecting reports whether the host is currently recording statistics.
 func (h *Host) Collecting() bool { return h.collect }
 
-// SetInvalidationSink routes this host's write notifications to a sharded
-// run's barrier-deferred invalidation exchange. It is mutually exclusive
-// with a consistency.Registry, which models the same traffic with instant
-// global knowledge.
-func (h *Host) SetInvalidationSink(s InvalidationSink) {
-	if h.reg != nil {
-		panic("core: host has both a consistency registry and an invalidation sink")
-	}
-	if h.cport != nil {
-		panic("core: host has both a consistency port and an invalidation sink")
-	}
-	h.inv = s
-}
-
-// SetConsistencyPort routes this host's reads and writes through a sharded
-// run's barrier-deferred callback protocol. It is mutually exclusive with
-// both a consistency.Registry (the sequential protocol) and an
-// InvalidationSink (sharded instant mode).
-func (h *Host) SetConsistencyPort(p ConsistencyPort) {
-	if h.reg != nil {
-		panic("core: host has both a consistency registry and a consistency port")
-	}
-	if h.inv != nil {
-		panic("core: host has both an invalidation sink and a consistency port")
-	}
-	h.cport = p
-}
+// SetConsistencyPort routes this host's reads and writes through p (in a
+// sharded run, the cluster's barrier-deferred consistency model). It
+// replaces the registry's port NewHost installed, if any.
+func (h *Host) SetConsistencyPort(p ConsistencyPort) { h.cport = p }
 
 // StopSyncers halts periodic writeback daemons so the engine can drain at
 // end of trace.
@@ -305,22 +275,10 @@ func (h *Host) StopSyncers() {
 // instantly and free of charge (paper §3.8).
 func (h *Host) Invalidate(key uint64) bool {
 	dropped := false
-	k := cache.Key(key)
-	if h.uni != nil {
-		if e := h.uni.Peek(k); e != nil {
+	for _, c := range h.tiers {
+		if e := c.Peek(cache.Key(key)); e != nil {
 			e.Pinned = false
-			h.uni.Remove(e)
-			dropped = true
-		}
-	} else {
-		if e := h.ram.Peek(k); e != nil {
-			e.Pinned = false
-			h.ram.Remove(e)
-			dropped = true
-		}
-		if e := h.flash.Peek(k); e != nil {
-			e.Pinned = false
-			h.flash.Remove(e)
+			c.Remove(e)
 			dropped = true
 		}
 	}
@@ -343,16 +301,10 @@ func (h *Host) read(key cache.Key, done cont) {
 	if h.tr != nil {
 		r.trSeq = h.tr.StartReq()
 	}
-	if h.reg != nil {
+	if h.cport != nil {
 		// Under the callback protocol an exclusively-owned block must be
 		// downgraded (and its dirty data flushed) before the read; under
 		// the paper's instant model this continues immediately.
-		h.reg.AcquireRead(h.cfg.ID, uint64(key), func() { readProceed(r) })
-		return
-	}
-	if h.cport != nil {
-		// Sharded callback protocol: the downgrade round trips thread
-		// through the epoch barrier (see clusterproto.go).
 		h.cport.AcquireRead(uint64(key), readProceed, r)
 		return
 	}
@@ -407,21 +359,9 @@ func (h *Host) write(key cache.Key, done cont) {
 	// now stale. Under the paper's model the invalidation is instant and
 	// free (§3.8); under the callback protocol the writer first acquires
 	// exclusive ownership, paying the message round trips.
-	if h.reg != nil {
-		h.reg.AcquireWrite(h.cfg.ID, uint64(key), func() { writeProceed(r) })
-		return
-	}
 	if h.cport != nil {
-		// Sharded callback protocol: ownership acquisition (and the
-		// invalidation it implies) crosses shards at the epoch barrier.
 		h.cport.AcquireWrite(uint64(key), writeProceed, r)
 		return
-	}
-	if h.inv != nil {
-		// Sharded instant-mode consistency: the writer proceeds
-		// immediately (invalidation is free, §3.8); remote copies drop at
-		// the next epoch barrier instead of this very instant.
-		h.inv.BlockWritten(h.cfg.ID, uint64(key), h.collect)
 	}
 	writeProceed(r)
 }
@@ -457,8 +397,8 @@ func finishWrite(a any) {
 
 func (h *Host) readLayered(r *hostReq) {
 	key := r.key
-	if h.ram.Capacity() > 0 {
-		if e := h.ram.Get(key); e != nil {
+	if ram := h.tiers[tierRAM]; ram.Capacity() > 0 {
+		if e := ram.Get(key); e != nil {
 			if r.collect {
 				h.st.RAMHits++
 			}
@@ -472,8 +412,8 @@ func (h *Host) readLayered(r *hostReq) {
 	if r.collect {
 		h.st.RAMMisses++
 	}
-	if h.flash.Capacity() > 0 {
-		if e := h.flash.Get(key); e != nil {
+	if flash := h.tiers[tierFlash]; flash.Capacity() > 0 {
+		if e := flash.Get(key); e != nil {
 			if r.collect {
 				h.st.FlashHits++
 			}
@@ -504,19 +444,20 @@ func readFillRAM(a any) {
 // The RAM cache remains a subset of flash on this path because the block
 // was installed in flash first (naive placement, §3.2).
 func (h *Host) installRAMClean(key cache.Key, c cont) {
-	if h.ram.Capacity() == 0 {
+	ram := h.tiers[tierRAM]
+	if ram.Capacity() == 0 {
 		c.run()
 		return
 	}
-	if e := h.ram.Peek(key); e != nil {
-		h.ram.Touch(e)
+	if e := ram.Peek(key); e != nil {
+		ram.Touch(e)
 		h.ramDev.Read2(c.fn, c.arg) // data handed to the application from RAM
 		return
 	}
 	r := h.getReq()
 	r.key = key
 	r.c = c
-	h.makeRoomRAM(cont{installRAMCleanRoom, r})
+	h.makeRoom(tierRAM, cont{installRAMCleanRoom, r})
 }
 
 func installRAMCleanRoom(a any) {
@@ -524,8 +465,8 @@ func installRAMCleanRoom(a any) {
 	h := r.h
 	key, c := r.key, r.c
 	h.putReq(r)
-	if h.ram.Peek(key) == nil && !h.ram.NeedsEviction() {
-		h.ram.Insert(key)
+	if ram := h.tiers[tierRAM]; ram.Peek(key) == nil && !ram.NeedsEviction() {
+		ram.Insert(key)
 	}
 	h.ramDev.Write2(c.fn, c.arg)
 }
@@ -533,62 +474,79 @@ func installRAMCleanRoom(a any) {
 // --- layered write path ---
 
 func (h *Host) writeLayered(r *hostReq) {
-	if h.ram.Capacity() == 0 {
+	ram := h.tiers[tierRAM]
+	if ram.Capacity() == 0 {
 		key := r.key
 		h.writeNoRAM(key, cont{finishWrite, r}, r.trSeq)
 		return
 	}
-	if e := h.ram.Get(r.key); e != nil {
-		h.commitRAMWrite(e, cont{finishWrite, r}, r.trSeq)
+	if e := ram.Get(r.key); e != nil {
+		h.commitWrite(tierRAM, e, cont{finishWrite, r}, r.trSeq)
 		return
 	}
 	// Write-allocate: traces are block-granular, so no read-modify-write
 	// fetch is needed.
-	h.makeRoomRAM(cont{writeLayeredRoom, r})
+	r.t = tierRAM
+	h.makeRoom(tierRAM, cont{writeRoom, r})
 }
 
-func writeLayeredRoom(a any) {
+// writeRoom resumes a write-allocate into tier r.t (the layered RAM tier
+// or the unified cache) once makeRoom has freed a slot.
+func writeRoom(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	e := h.ram.Peek(r.key)
+	tc := h.tiers[r.t]
+	e := tc.Peek(r.key)
 	if e == nil {
-		if h.ram.NeedsEviction() {
+		if tc.NeedsEviction() {
 			// Room vanished to a racing insert; retry.
-			h.writeLayered(r)
+			writeProceed(r)
 			return
 		}
-		e = h.ram.Insert(r.key)
+		e = tc.Insert(r.key)
 	}
-	h.commitRAMWrite(e, cont{finishWrite, r}, r.trSeq)
+	h.commitWrite(r.t, e, cont{finishWrite, r}, r.trSeq)
 }
 
-// commitRAMWrite applies the data write to a resident RAM entry and then
-// the RAM writeback policy.
-func (h *Host) commitRAMWrite(e *cache.Entry, c cont, trSeq uint64) {
+// commitWrite applies the data write to e, resident in tier t: it pays the
+// write on e's medium, then applies that medium's writeback policy along
+// the tier's mover. The unified cache thereby exposes flash write latency
+// for the ~8/9 of blocks in flash buffers.
+func (h *Host) commitWrite(t tier, e *cache.Entry, c cont, trSeq uint64) {
 	e.DirtyEpoch++
-	h.ram.MarkDirty(e)
+	h.tiers[t].MarkDirty(e)
 	r := h.getReq()
 	r.key = e.Key()
 	r.e = e
 	r.gen = e.Gen()
+	r.t = t
+	r.m = e.Medium()
 	r.c = c
 	r.trSeq = trSeq
-	h.ramDev.Write2(commitRAMWritten, r)
+	if r.m == cache.RAM {
+		h.ramDev.Write2(commitWritten, r)
+		return
+	}
+	h.flashIO.Write2(r.key, commitWritten, r)
 }
 
-func commitRAMWritten(a any) {
+func commitWritten(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	key, e, gen, c, trSeq := r.key, r.e, r.gen, r.c, r.trSeq
+	key, e, gen, t, c, trSeq := r.key, r.e, r.gen, r.t, r.c, r.trSeq
+	policy := h.cfg.RAMPolicy
+	if r.m == cache.Flash {
+		policy = h.cfg.FlashPolicy
+	}
 	h.putReq(r)
-	h.applyPolicy(h.cfg.RAMPolicy, h.ramMove(), tierRAM, key, e, gen, c, trSeq)
+	h.applyPolicy(policy, h.mover(t), t, key, e, gen, c, trSeq)
 }
 
 // writeNoRAM handles writes with no RAM tier (paper §7.5's "0 really means
 // 0" point): the write lands directly in flash, or goes to the filer when
 // there is no flash either.
 func (h *Host) writeNoRAM(key cache.Key, c cont, trSeq uint64) {
-	if h.flash.Capacity() == 0 {
+	if h.tiers[tierFlash].Capacity() == 0 {
 		h.writeBlockToFiler(key, demandLane, c, trSeq)
 		return
 	}
@@ -602,23 +560,20 @@ func (h *Host) writeNoRAM(key cache.Key, c cont, trSeq uint64) {
 func writeNoRAMEntry(a any, e *cache.Entry) {
 	r := a.(*hostReq)
 	h := r.h
-	if e == nil { // could not place (transient); go straight through
-		key, c, trSeq := r.key, r.c, r.trSeq
-		h.putReq(r)
-		h.writeBlockToFiler(key, demandLane, c, trSeq)
-		return
-	}
-	e.DirtyEpoch++
-	if h.cfg.Arch == Lookaside {
+	if e != nil && h.cfg.Arch == Lookaside {
 		// Lookaside flash never holds dirty data: write the filer
 		// first, then update the flash copy.
+		e.DirtyEpoch++
 		h.writeBlockToFiler(r.key, demandLane, cont{writeNoRAMLookaside, r}, r.trSeq)
 		return
 	}
-	h.flash.MarkDirty(e)
-	r.e = e
-	r.gen = e.Gen()
-	h.flashIO.Write2(r.key, writeNoRAMFlashed, r)
+	key, c, trSeq := r.key, r.c, r.trSeq
+	h.putReq(r)
+	if e == nil { // could not place (transient); go straight through
+		h.writeBlockToFiler(key, demandLane, c, trSeq)
+		return
+	}
+	h.commitWrite(tierFlash, e, c, trSeq)
 }
 
 func writeNoRAMLookaside(a any) {
@@ -630,18 +585,10 @@ func writeNoRAMLookaside(a any) {
 	c.run()
 }
 
-func writeNoRAMFlashed(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	key, e, gen, c, trSeq := r.key, r.e, r.gen, r.c, r.trSeq
-	h.putReq(r)
-	h.applyPolicy(h.cfg.FlashPolicy, moveToFiler, tierFlash, key, e, gen, c, trSeq)
-}
-
 // --- unified paths ---
 
 func (h *Host) readUnified(r *hostReq) {
-	if e := h.uni.Get(r.key); e != nil {
+	if e := h.tiers[tierUnified].Get(r.key); e != nil {
 		if e.Medium() == cache.RAM {
 			if r.collect {
 				h.st.RAMHits++
@@ -676,63 +623,18 @@ func (h *Host) readUnified(r *hostReq) {
 }
 
 func (h *Host) writeUnified(r *hostReq) {
-	if h.uni.Capacity() == 0 {
+	uni := h.tiers[tierUnified]
+	if uni.Capacity() == 0 {
 		key := r.key
 		h.writeBlockToFiler(key, demandLane, cont{finishWrite, r}, r.trSeq)
 		return
 	}
-	if e := h.uni.Get(r.key); e != nil {
-		h.commitUnifiedWrite(e, cont{finishWrite, r}, r.trSeq)
+	if e := uni.Get(r.key); e != nil {
+		h.commitWrite(tierUnified, e, cont{finishWrite, r}, r.trSeq)
 		return
 	}
-	h.makeRoomUnified(cont{writeUnifiedRoom, r})
-}
-
-func writeUnifiedRoom(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	e := h.uni.Peek(r.key)
-	if e == nil {
-		if h.uni.NeedsEviction() {
-			h.writeUnified(r)
-			return
-		}
-		e = h.uni.Insert(r.key)
-	}
-	h.commitUnifiedWrite(e, cont{finishWrite, r}, r.trSeq)
-}
-
-// commitUnifiedWrite pays the medium's write cost and applies the policy
-// of the tier the block happens to live in: the paper's unified cache
-// exposes flash write latency for the ~8/9 of blocks in flash buffers.
-func (h *Host) commitUnifiedWrite(e *cache.Entry, c cont, trSeq uint64) {
-	e.DirtyEpoch++
-	h.uni.MarkDirty(e)
-	r := h.getReq()
-	r.key = e.Key()
-	r.e = e
-	r.gen = e.Gen()
-	r.c = c
-	r.trSeq = trSeq
-	if e.Medium() == cache.RAM {
-		r.t = tierRAM // marks which policy applies after the write
-		h.ramDev.Write2(commitUnifiedWritten, r)
-		return
-	}
-	r.t = tierFlash
-	h.flashIO.Write2(r.key, commitUnifiedWritten, r)
-}
-
-func commitUnifiedWritten(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	key, e, gen, c, trSeq := r.key, r.e, r.gen, r.c, r.trSeq
-	policy := h.cfg.RAMPolicy
-	if r.t == tierFlash {
-		policy = h.cfg.FlashPolicy
-	}
-	h.putReq(r)
-	h.applyPolicy(policy, moveToFiler, tierUnified, key, e, gen, c, trSeq)
+	r.t = tierUnified
+	h.makeRoom(tierUnified, cont{writeRoom, r})
 }
 
 // --- demand fetch ---
@@ -843,40 +745,38 @@ func fetchWake(a any) {
 	h.waiterFree = append(h.waiterFree, waiters[:0])
 }
 
-// installAfterFetch places a freshly fetched block into the flash tier
-// (layered) or the unified cache. The requester is not charged for the
-// install data write — it proceeds once the block is indexed; the write
-// occupies the device in the background. (Ablation: SyncFill charges it.)
+// installAfterFetch places a freshly fetched block into the bottom tier:
+// flash on a layered host, the unified cache on a unified one. The
+// requester is not charged for the install data write — it proceeds once
+// the block is indexed; the write occupies the device in the background.
+// (Ablation: SyncFill charges it.)
 func (h *Host) installAfterFetch(key cache.Key, c cont) {
-	if h.cfg.Arch == Unified {
-		if h.uni.Capacity() == 0 {
-			c.run()
-			return
-		}
-		r := h.getReq()
-		r.key = key
-		r.c = c
-		h.makeRoomUnified(cont{installUnifiedRoom, r})
-		return
-	}
-	if h.flash.Capacity() == 0 {
+	t := tier(len(h.tiers) - 1)
+	if h.tiers[t].Capacity() == 0 {
 		c.run()
 		return
 	}
 	r := h.getReq()
 	r.key = key
+	r.t = t
 	r.c = c
-	h.makeRoomFlash(cont{installFlashRoom, r})
+	h.makeRoom(t, cont{installRoom, r})
 }
 
-func installUnifiedRoom(a any) {
+// installRoom inserts a clean copy of r.key into tier r.t once makeRoom
+// has freed a slot, unless the block is already resident or the slot was
+// lost to a racing insert. A copy landing on flash pays the device write;
+// layered flash fills are counted.
+func installRoom(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	key, c := r.key, r.c
+	key, t, c := r.key, r.t, r.c
 	h.putReq(r)
-	if h.uni.Peek(key) == nil && !h.uni.NeedsEviction() {
-		e := h.uni.Insert(key)
-		if e.Medium() == cache.Flash {
+	if tc := h.tiers[t]; tc.Peek(key) == nil && !tc.NeedsEviction() {
+		if e := tc.Insert(key); e.Medium() == cache.Flash {
+			if t == tierFlash && h.collect {
+				h.st.FlashFills++
+			}
 			if h.cfg.SyncMissFill {
 				h.flashIO.Write2(key, c.fn, c.arg)
 				return
@@ -887,42 +787,24 @@ func installUnifiedRoom(a any) {
 	c.run()
 }
 
-func installFlashRoom(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	key, c := r.key, r.c
-	h.putReq(r)
-	if h.flash.Peek(key) == nil && !h.flash.NeedsEviction() {
-		h.flash.Insert(key)
-		if h.collect {
-			h.st.FlashFills++
-		}
-		if h.cfg.SyncMissFill {
-			h.flashIO.Write2(key, c.fn, c.arg)
-			return
-		}
-		h.flashIO.Write2(key, nil, nil)
-	}
-	c.run()
-}
-
 // ensureFlashEntry makes key resident in the flash cache (inserting and
 // evicting as needed) and hands the entry to fn(arg, e). fn receives nil
 // only if the flash tier has zero capacity.
 func (h *Host) ensureFlashEntry(key cache.Key, fn func(any, *cache.Entry), arg any) {
-	if h.flash.Capacity() == 0 {
+	flash := h.tiers[tierFlash]
+	if flash.Capacity() == 0 {
 		fn(arg, nil)
 		return
 	}
-	if e := h.flash.Peek(key); e != nil {
-		h.flash.Touch(e)
+	if e := flash.Peek(key); e != nil {
+		flash.Touch(e)
 		fn(arg, e)
 		return
 	}
 	r := h.getReq()
 	r.key = key
 	r.ec = entryCont{fn, arg}
-	h.makeRoomFlash(cont{ensureFlashRoom, r})
+	h.makeRoom(tierFlash, cont{ensureFlashRoom, r})
 }
 
 func ensureFlashRoom(a any) {
@@ -930,40 +812,45 @@ func ensureFlashRoom(a any) {
 	h := r.h
 	key, ec := r.key, r.ec
 	h.putReq(r)
-	if e := h.flash.Peek(key); e != nil {
+	flash := h.tiers[tierFlash]
+	if e := flash.Peek(key); e != nil {
 		ec.fn(ec.arg, e)
 		return
 	}
-	if h.flash.NeedsEviction() {
+	if flash.NeedsEviction() {
 		// Lost the race for the freed slot; try again.
 		h.ensureFlashEntry(key, ec.fn, ec.arg)
 		return
 	}
-	ec.fn(ec.arg, h.flash.Insert(key))
+	ec.fn(ec.arg, flash.Insert(key))
 }
 
 // --- room making (eviction) ---
 
-// makeRoomRAM evicts from the RAM cache until an insert can proceed.
-// Dirty victims are written down first — to flash under naive, to the
-// filer under lookaside — synchronously, blocking the requester, which is
-// how the "none" policy's eviction convoys arise (paper §7.1).
-func (h *Host) makeRoomRAM(c cont) {
-	if !h.ram.NeedsEviction() {
+// makeRoom evicts from tier t until an insert can proceed, then runs c.
+// Dirty victims are written down first along the tier's mover —
+// synchronously, blocking the requester, which is how the "none" policy's
+// eviction convoys arise (paper §7.1). When every victim is pinned
+// mid-writeback the inserter backs off for evictionRetryDelay and tries
+// again.
+func (h *Host) makeRoom(t tier, c cont) {
+	tc := h.tiers[t]
+	if !tc.NeedsEviction() {
 		c.run()
 		return
 	}
-	v := h.ram.Victim()
+	v := tc.Victim()
 	if v == nil {
 		h.st.EvictionRetries++
 		r := h.getReq()
+		r.t = t
 		r.c = c
-		h.eng.Schedule2(evictionRetryDelay, retryRoomRAM, r)
+		h.eng.Schedule2(evictionRetryDelay, retryRoom, r)
 		return
 	}
 	if !v.Dirty {
-		h.ram.Remove(v)
-		h.makeRoomRAM(c)
+		h.evict(t, v)
+		h.makeRoom(t, c)
 		return
 	}
 	if h.collect {
@@ -974,152 +861,42 @@ func (h *Host) makeRoomRAM(c cont) {
 	r.key = v.Key()
 	r.e = v
 	r.gen = v.Gen()
+	r.t = t
 	r.c = c
-	h.move(h.ramMove(), r.key, demandLane, cont{ramEvictWritten, r}, 0)
+	h.move(h.mover(t), r.key, demandLane, cont{evictWritten, r}, 0)
 }
 
-func retryRoomRAM(a any) {
+func retryRoom(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	c := r.c
+	t, c := r.t, r.c
 	h.putReq(r)
-	h.makeRoomRAM(c)
+	h.makeRoom(t, c)
 }
 
-func ramEvictWritten(a any) {
+func evictWritten(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	if h.ram.Peek(r.key) == r.e && r.e.Gen() == r.gen {
+	if h.current(r.t, r.key, r.e, r.gen) {
 		r.e.Pinned = false
-		h.ram.MarkClean(r.e)
-		h.ram.Remove(r.e)
+		h.tiers[r.t].MarkClean(r.e)
+		h.evict(r.t, r.e)
 	}
-	c := r.c
+	t, c := r.t, r.c
 	h.putReq(r)
-	h.makeRoomRAM(c)
+	h.makeRoom(t, c)
 }
 
-// makeRoomFlash evicts from the flash cache until an insert can proceed.
-// Clean RAM copies of the evicted block are shot down to preserve the
-// RAM ⊆ flash property; dirty RAM copies survive (they will re-insert into
-// flash when written back).
-func (h *Host) makeRoomFlash(c cont) {
-	if !h.flash.NeedsEviction() {
-		c.run()
-		return
+// evict removes e from tier t. Evicting from the layered flash tier shoots
+// down a clean RAM copy of the block to preserve the RAM ⊆ flash property;
+// a dirty RAM copy is newer than anything below it and stays (it will
+// re-insert into flash when written back).
+func (h *Host) evict(t tier, e *cache.Entry) {
+	if t == tierFlash && !h.cfg.DisableSubsetShootdown {
+		ram := h.tiers[tierRAM]
+		if c := ram.Peek(e.Key()); c != nil && !c.Dirty && !c.Pinned {
+			ram.Remove(c)
+		}
 	}
-	v := h.flash.Victim()
-	if v == nil {
-		h.st.EvictionRetries++
-		r := h.getReq()
-		r.c = c
-		h.eng.Schedule2(evictionRetryDelay, retryRoomFlash, r)
-		return
-	}
-	if !v.Dirty {
-		h.shootdownRAMSubset(v.Key())
-		h.flash.Remove(v)
-		h.makeRoomFlash(c)
-		return
-	}
-	if h.collect {
-		h.st.SyncEvictions++
-	}
-	v.Pinned = true
-	r := h.getReq()
-	r.key = v.Key()
-	r.e = v
-	r.gen = v.Gen()
-	r.c = c
-	h.writeBlockToFiler(r.key, demandLane, cont{flashEvictWritten, r}, 0)
-}
-
-func retryRoomFlash(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	c := r.c
-	h.putReq(r)
-	h.makeRoomFlash(c)
-}
-
-func flashEvictWritten(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	if h.flash.Peek(r.key) == r.e && r.e.Gen() == r.gen {
-		r.e.Pinned = false
-		h.flash.MarkClean(r.e)
-		h.shootdownRAMSubset(r.key)
-		h.flash.Remove(r.e)
-	}
-	c := r.c
-	h.putReq(r)
-	h.makeRoomFlash(c)
-}
-
-// makeRoomUnified evicts from the unified cache; dirty victims write back
-// to the filer synchronously.
-func (h *Host) makeRoomUnified(c cont) {
-	if !h.uni.NeedsEviction() {
-		c.run()
-		return
-	}
-	v := h.uni.Victim()
-	if v == nil {
-		h.st.EvictionRetries++
-		r := h.getReq()
-		r.c = c
-		h.eng.Schedule2(evictionRetryDelay, retryRoomUnified, r)
-		return
-	}
-	if !v.Dirty {
-		h.uni.Remove(v)
-		h.makeRoomUnified(c)
-		return
-	}
-	if h.collect {
-		h.st.SyncEvictions++
-	}
-	v.Pinned = true
-	r := h.getReq()
-	r.key = v.Key()
-	r.e = v
-	r.gen = v.Gen()
-	r.c = c
-	h.writeBlockToFiler(r.key, demandLane, cont{unifiedEvictWritten, r}, 0)
-}
-
-func retryRoomUnified(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	c := r.c
-	h.putReq(r)
-	h.makeRoomUnified(c)
-}
-
-func unifiedEvictWritten(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	if h.uni.Peek(r.key) == r.e && r.e.Gen() == r.gen {
-		r.e.Pinned = false
-		h.uni.MarkClean(r.e)
-		h.uni.Remove(r.e)
-	}
-	c := r.c
-	h.putReq(r)
-	h.makeRoomUnified(c)
-}
-
-// shootdownRAMSubset drops a clean RAM copy when its flash backing is
-// evicted, preserving RAM ⊆ flash. A dirty RAM copy is newer than
-// anything below it and stays.
-func (h *Host) shootdownRAMSubset(key cache.Key) {
-	if h.cfg.DisableSubsetShootdown {
-		return
-	}
-	if h.ram == nil || h.ram.Capacity() == 0 {
-		return
-	}
-	if e := h.ram.Peek(key); e != nil && !e.Dirty && !e.Pinned {
-		h.ram.Remove(e)
-	}
+	h.tiers[t].Remove(e)
 }

@@ -15,30 +15,26 @@ const controlMessageBytes = 64
 
 // Holds implements consistency.CacheHolder.
 func (h *Host) Holds(key uint64) bool {
-	k := cache.Key(key)
-	if h.uni != nil {
-		return h.uni.Peek(k) != nil
+	for _, c := range h.tiers {
+		if c.Peek(cache.Key(key)) != nil {
+			return true
+		}
 	}
-	if h.ram != nil && h.ram.Peek(k) != nil {
-		return true
-	}
-	return h.flash != nil && h.flash.Peek(k) != nil
+	return false
 }
 
 // AppendResident implements consistency.CacheHolder: every block some
-// tier caches, once.
+// tier caches, once — bottom tier first, each upper tier adding only the
+// blocks no tier below it holds.
 func (h *Host) AppendResident(dst []uint64) []uint64 {
-	if h.uni != nil {
-		for _, k := range h.uni.Keys(nil) {
-			dst = append(dst, uint64(k))
-		}
-		return dst
-	}
-	for _, k := range h.flash.Keys(nil) {
-		dst = append(dst, uint64(k))
-	}
-	for _, k := range h.ram.Keys(nil) {
-		if h.flash.Peek(k) == nil {
+	for t := len(h.tiers) - 1; t >= 0; t-- {
+	keys:
+		for _, k := range h.tiers[t].Keys(nil) {
+			for _, below := range h.tiers[t+1:] {
+				if below.Peek(k) != nil {
+					continue keys
+				}
+			}
 			dst = append(dst, uint64(k))
 		}
 	}
@@ -52,26 +48,15 @@ func (h *Host) SendControl(done func()) {
 }
 
 // FlushBlock implements consistency.ProtocolPeer: write the block back to
-// the filer if any tier holds it dirty; done fires when durable.
+// the filer if any tier holds it dirty; done fires when durable. The
+// freshest copy is the highest tier's dirty one, and the protocol needs it
+// at the filer, so it bypasses any tier below.
 func (h *Host) FlushBlock(key uint64, done func()) {
-	k := cache.Key(key)
-	if h.uni != nil {
-		if e := h.uni.Peek(k); e != nil && e.Dirty {
-			h.propagate(moveToFiler, tierUnified, e.Key(), e, e.Gen(), demandLane, funcCont(done), 0)
+	for t, c := range h.tiers {
+		if e := c.Peek(cache.Key(key)); e != nil && e.Dirty {
+			h.propagate(moveToFiler, tier(t), e.Key(), e, e.Gen(), demandLane, funcCont(done), 0)
 			return
 		}
-		h.eng.Schedule(0, done)
-		return
-	}
-	if e := h.ram.Peek(k); e != nil && e.Dirty {
-		// The freshest copy lives in RAM; the protocol needs it at the
-		// filer, so it bypasses the flash tier.
-		h.propagate(moveToFiler, tierRAM, e.Key(), e, e.Gen(), demandLane, funcCont(done), 0)
-		return
-	}
-	if e := h.flash.Peek(k); e != nil && e.Dirty {
-		h.propagate(moveToFiler, tierFlash, e.Key(), e, e.Gen(), demandLane, funcCont(done), 0)
-		return
 	}
 	h.eng.Schedule(0, done)
 }

@@ -26,20 +26,21 @@ const metadataBlocksPerRead = 64
 // unified cache's RAM half cannot survive a crash, so a recoverable
 // unified cache is not meaningful).
 func (h *Host) Prefill(keys []cache.Key, dirtyFraction float64, rnd *rng.RNG) int {
-	if h.flash == nil || h.flash.Capacity() == 0 {
+	if h.cfg.Arch == Unified || h.tiers[tierFlash].Capacity() == 0 {
 		return 0
 	}
+	flash := h.tiers[tierFlash]
 	n := 0
 	for _, key := range keys {
-		if h.flash.NeedsEviction() {
+		if flash.NeedsEviction() {
 			break
 		}
-		if h.flash.Peek(key) != nil {
+		if flash.Peek(key) != nil {
 			continue
 		}
-		e := h.flash.Insert(key)
+		e := flash.Insert(key)
 		if rnd.Bool(dirtyFraction) {
-			h.flash.MarkDirty(e)
+			flash.MarkDirty(e)
 		}
 		n++
 	}
@@ -55,13 +56,14 @@ func (h *Host) Prefill(keys []cache.Key, dirtyFraction float64, rnd *rng.RNG) in
 // background lane (they still occupy the network and filer). Lookaside
 // caches never hold dirty data, so they only pay the scan.
 func (h *Host) Recover(done func()) (dirtyFlushed int) {
-	if h.flash == nil || h.flash.Capacity() == 0 {
+	if h.cfg.Arch == Unified || h.tiers[tierFlash].Capacity() == 0 {
 		h.eng.Schedule(0, done)
 		return 0
 	}
-	resident := h.flash.Len()
+	flash := h.tiers[tierFlash]
+	resident := flash.Len()
 	scanReads := (resident + metadataBlocksPerRead - 1) / metadataBlocksPerRead
-	dirty := h.flash.AppendDirty(nil)
+	dirty := flash.AppendDirty(nil)
 	dirtyFlushed = len(dirty)
 
 	join := sim.NewJoin(scanReads+len(dirty), done)

@@ -18,9 +18,9 @@ import (
 // carries an entry past one, it carries (key, entry, Gen()) captured at a
 // point of known validity, and the resuming stage re-checks
 //
-//	tierPeek(tier, key) == entry && entry.Gen() == gen
+//	h.tiers[t].Peek(key) == e && e.Gen() == gen
 //
-// before mutating the entry. Event-generating work (device writes, filer
+// (Host.current) before mutating the entry. Event-generating work (device writes, filer
 // round trips) is performed unconditionally, exactly as the closure-based
 // code did for entries that were evicted in flight — the golden
 // determinism tests hold the refactor to byte-identical reports.
@@ -75,6 +75,7 @@ type hostReq struct {
 	gen   uint64
 	epoch uint64
 	t     tier
+	m     cache.Medium // medium a commitWrite paid, selecting its policy
 	mv    moveKind
 
 	// Read/Write bookkeeping.

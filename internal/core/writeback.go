@@ -33,11 +33,16 @@ const (
 	moveLookaside
 )
 
-// ramMove returns the mover for dirty RAM blocks: to flash under naive,
-// directly to the filer under lookaside (§3.3). writeBlockToFlash itself
-// degenerates to the filer when no flash tier is configured.
-func (h *Host) ramMove() moveKind {
-	if h.cfg.Arch == Lookaside {
+// mover returns the writeback route for tier t's dirty blocks. The
+// layered RAM tier writes down to flash under naive and directly to the
+// filer under lookaside (§3.3); every other tier writes to the filer.
+// writeBlockToFlash itself degenerates to the filer when no flash tier is
+// configured.
+func (h *Host) mover(t tier) moveKind {
+	switch {
+	case t != tierRAM || h.cfg.Arch == Unified:
+		return moveToFiler
+	case h.cfg.Arch == Lookaside:
 		return moveLookaside
 	}
 	return moveToFlash
@@ -59,38 +64,21 @@ func (h *Host) move(mv moveKind, key cache.Key, ln lane, c cont, trSeq uint64) {
 	}
 }
 
-// tier names the cache a policy operates on, so the same policy machinery
+// tier indexes Host.tiers, so the same eviction and policy machinery
 // drives the layered RAM tier, the layered flash tier, and both media of
-// the unified cache. (The pre-pooling code boxed per-tier adapter structs
-// into an interface at every call; an enum rides in the pooled record.)
+// the unified cache. A unified host's one cache takes the first slot.
 type tier uint8
 
 const (
 	tierRAM tier = iota
 	tierFlash
-	tierUnified
+	tierUnified = tierRAM
 )
 
-func (h *Host) tierPeek(t tier, key cache.Key) *cache.Entry {
-	switch t {
-	case tierRAM:
-		return h.ram.Peek(key)
-	case tierFlash:
-		return h.flash.Peek(key)
-	default:
-		return h.uni.Peek(key)
-	}
-}
-
-func (h *Host) tierMarkClean(t tier, e *cache.Entry) {
-	switch t {
-	case tierRAM:
-		h.ram.MarkClean(e)
-	case tierFlash:
-		h.flash.MarkClean(e)
-	default:
-		h.uni.MarkClean(e)
-	}
+// current reports whether (key, e, gen), captured at a validity point,
+// still names the entry resident in tier t (see req.go).
+func (h *Host) current(t tier, key cache.Key, e *cache.Entry, gen uint64) bool {
+	return h.tiers[t].Peek(key) == e && e.Gen() == gen
 }
 
 // applyPolicy runs after a write has been committed to a tier. For
@@ -138,7 +126,7 @@ func delayedFire(a any) {
 	h := r.h
 	key, e, gen, epoch, t, mv := r.key, r.e, r.gen, r.epoch, r.t, r.mv
 	h.putReq(r)
-	if h.tierPeek(t, key) != e || e.Gen() != gen ||
+	if !h.current(t, key, e, gen) ||
 		!e.Dirty || e.DirtyEpoch != epoch || e.WritebackInFlight || e.Pinned {
 		return
 	}
@@ -153,7 +141,7 @@ func delayedFire(a any) {
 // still name the resident entry.
 func (h *Host) propagate(mv moveKind, t tier, key cache.Key, e *cache.Entry, gen uint64, ln lane, c cont, trSeq uint64) {
 	epoch := e.DirtyEpoch
-	if h.tierPeek(t, key) == e && e.Gen() == gen {
+	if h.current(t, key, e, gen) {
 		e.WritebackInFlight = true
 	}
 	r := h.getReq()
@@ -169,10 +157,10 @@ func (h *Host) propagate(mv moveKind, t tier, key cache.Key, e *cache.Entry, gen
 func propagated(a any) {
 	r := a.(*hostReq)
 	h := r.h
-	if cur := h.tierPeek(r.t, r.key); cur == r.e && r.e.Gen() == r.gen {
+	if h.current(r.t, r.key, r.e, r.gen) {
 		r.e.WritebackInFlight = false
 		if r.e.DirtyEpoch == r.epoch {
-			h.tierMarkClean(r.t, r.e)
+			h.tiers[r.t].MarkClean(r.e)
 		}
 	}
 	c := r.c
@@ -205,7 +193,7 @@ func lookasideFilerWritten(a any) {
 // paid, and the flash tier's own writeback policy is applied to the new
 // dirty flash data. c runs when the block is durable in flash.
 func (h *Host) writeBlockToFlash(key cache.Key, ln lane, c cont, trSeq uint64) {
-	if h.flash.Capacity() == 0 {
+	if h.tiers[tierFlash].Capacity() == 0 {
 		// No flash tier: RAM's next tier is the filer.
 		h.writeBlockToFiler(key, ln, c, trSeq)
 		return
@@ -231,7 +219,7 @@ func flashWBEntry(a any, e *cache.Entry) {
 		return
 	}
 	e.DirtyEpoch++
-	h.flash.MarkDirty(e)
+	h.tiers[tierFlash].MarkDirty(e)
 	r.e = e
 	r.gen = e.Gen()
 	if r.trSeq != 0 {
@@ -265,31 +253,19 @@ func flashWBWritten(a any) {
 // installFlashCleanCopy updates or inserts a clean copy of key in flash
 // (lookaside post-filer update). The device write is asynchronous.
 func (h *Host) installFlashCleanCopy(key cache.Key) {
-	if h.flash.Capacity() == 0 {
+	flash := h.tiers[tierFlash]
+	if flash.Capacity() == 0 {
 		return
 	}
-	if e := h.flash.Peek(key); e != nil {
-		h.flash.Touch(e)
+	if e := flash.Peek(key); e != nil {
+		flash.Touch(e)
 		h.flashIO.Write2(key, nil, nil)
 		return
 	}
 	r := h.getReq()
 	r.key = key
-	h.makeRoomFlash(cont{installCleanCopyRoom, r})
-}
-
-func installCleanCopyRoom(a any) {
-	r := a.(*hostReq)
-	h := r.h
-	key := r.key
-	h.putReq(r)
-	if h.flash.Peek(key) == nil && !h.flash.NeedsEviction() {
-		h.flash.Insert(key)
-		if h.collect {
-			h.st.FlashFills++
-		}
-		h.flashIO.Write2(key, nil, nil)
-	}
+	r.t = tierFlash
+	h.makeRoom(tierFlash, cont{installRoom, r})
 }
 
 // writeBlockToFiler writes one block to the filer over the chosen lane:
@@ -359,78 +335,40 @@ func filerWriteArrived(a any) {
 // --- periodic syncers ---
 
 // startSyncers launches the periodic writeback daemons the configured
-// policies require. Lookaside's flash tier never holds dirty data, so its
-// flash syncer is pointless and skipped. (These closures are built once
-// per host at construction; the per-tick path allocates nothing.)
+// policies require: one per medium of each tier that can hold dirty data.
+// Lookaside's flash tier never holds dirty data, so its flash syncer is
+// pointless and skipped. (These closures are built once per host at
+// construction; the per-tick path allocates nothing.)
 func (h *Host) startSyncers() {
-	// limit <= 0 flushes everything (Periodic); Trickle drains one block
-	// per tick.
-	daemonFor := func(p Policy, flush func(limit int)) {
+	// Periodic flushes everything; Trickle drains one block per tick.
+	daemonFor := func(p Policy, t tier, m cache.Medium) {
 		switch p.Kind {
 		case Periodic:
-			h.syncers = append(h.syncers, sim.NewTicker(h.eng, p.Period, func() { flush(0) }))
+			h.syncers = append(h.syncers, sim.NewTicker(h.eng, p.Period, func() { h.flushDirty(t, m, 0) }))
 		case Trickle:
-			h.syncers = append(h.syncers, sim.NewTicker(h.eng, p.Period, func() { flush(1) }))
+			h.syncers = append(h.syncers, sim.NewTicker(h.eng, p.Period, func() { h.flushDirty(t, m, 1) }))
 		}
 	}
 	if h.cfg.Arch == Unified {
-		daemonFor(h.cfg.RAMPolicy, func(limit int) { h.flushUnified(cache.RAM, limit) })
-		daemonFor(h.cfg.FlashPolicy, func(limit int) { h.flushUnified(cache.Flash, limit) })
+		daemonFor(h.cfg.RAMPolicy, tierUnified, cache.RAM)
+		daemonFor(h.cfg.FlashPolicy, tierUnified, cache.Flash)
 		return
 	}
 	if h.cfg.RAMBlocks > 0 {
-		daemonFor(h.cfg.RAMPolicy, h.flushRAM)
+		daemonFor(h.cfg.RAMPolicy, tierRAM, cache.RAM)
 	}
 	if h.cfg.FlashBlocks > 0 && h.cfg.Arch != Lookaside {
-		daemonFor(h.cfg.FlashPolicy, h.flushFlash)
+		daemonFor(h.cfg.FlashPolicy, tierFlash, cache.Flash)
 	}
 }
 
-// flushRAM writes dirty RAM blocks down (oldest first), skipping blocks
-// already mid-writeback. limit bounds how many blocks are flushed; <= 0
-// means all.
-func (h *Host) flushRAM(limit int) {
-	mv := h.ramMove()
+// flushDirty writes tier t's dirty blocks on medium m down along the
+// tier's mover (oldest first), skipping blocks already mid-writeback.
+// limit bounds how many blocks are flushed; <= 0 means all.
+func (h *Host) flushDirty(t tier, m cache.Medium, limit int) {
+	mv := h.mover(t)
 	flushed := 0
-	h.dirtyScratch = h.ram.AppendDirty(h.dirtyScratch[:0])
-	for _, e := range h.dirtyScratch {
-		if limit > 0 && flushed >= limit {
-			break
-		}
-		if e.WritebackInFlight || e.Pinned {
-			if h.collect {
-				h.st.CoalescedSkips++
-			}
-			continue
-		}
-		h.propagate(mv, tierRAM, e.Key(), e, e.Gen(), bgLane, cont{}, 0)
-		flushed++
-	}
-}
-
-// flushFlash writes dirty flash blocks back to the filer.
-func (h *Host) flushFlash(limit int) {
-	flushed := 0
-	h.dirtyScratch = h.flash.AppendDirty(h.dirtyScratch[:0])
-	for _, e := range h.dirtyScratch {
-		if limit > 0 && flushed >= limit {
-			break
-		}
-		if e.WritebackInFlight || e.Pinned {
-			if h.collect {
-				h.st.CoalescedSkips++
-			}
-			continue
-		}
-		h.propagate(moveToFiler, tierFlash, e.Key(), e, e.Gen(), bgLane, cont{}, 0)
-		flushed++
-	}
-}
-
-// flushUnified writes back dirty unified entries living on medium m.
-func (h *Host) flushUnified(m cache.Medium, limit int) {
-	flushed := 0
-	h.dirtyScratch = h.uni.AppendDirty(h.dirtyScratch[:0])
+	h.dirtyScratch = h.tiers[t].AppendDirty(h.dirtyScratch[:0])
 	for _, e := range h.dirtyScratch {
 		if limit > 0 && flushed >= limit {
 			break
@@ -444,7 +382,7 @@ func (h *Host) flushUnified(m cache.Medium, limit int) {
 			}
 			continue
 		}
-		h.propagate(moveToFiler, tierUnified, e.Key(), e, e.Gen(), bgLane, cont{}, 0)
+		h.propagate(mv, t, e.Key(), e, e.Gen(), bgLane, cont{}, 0)
 		flushed++
 	}
 }
